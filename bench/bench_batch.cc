@@ -10,6 +10,7 @@
 #include "benchmark/benchmark.h"
 #include "bench/bench_util.h"
 #include "conflict/batch_detector.h"
+#include "conflict/detector.h"
 #include "xml/xml_parser.h"
 
 namespace xmlup {
@@ -59,15 +60,19 @@ DetectorOptions MakeDetectorOptions() {
   return options;
 }
 
-/// The baseline the batch engine replaces: one Detect() facade call per
-/// pair, no sharing, no threads.
+/// The baseline the batch engine replaces: one Detect() call per pair —
+/// the read interned and the update bound per pair into one store per
+/// loop, like the batch engine's fresh store per run — with no memo and no
+/// threads.
 uint64_t SequentialPairLoop(const std::vector<Pattern>& reads,
                             const std::vector<UpdateOp>& updates,
                             const DetectorOptions& options) {
+  auto store = std::make_shared<PatternStore>(bench::Symbols());
   uint64_t conflicts = 0;
   for (const Pattern& read : reads) {
     for (const UpdateOp& update : updates) {
-      Result<ConflictReport> report = Detect(read, update, options);
+      Result<ConflictReport> report =
+          Detect(*store, store->Intern(read), update.Bind(store), options);
       if (report.ok() && report->verdict == ConflictVerdict::kConflict) {
         ++conflicts;
       }

@@ -1,7 +1,7 @@
 // Hot-path detection ablation for the compiled-automata cache: the same
 // read×update matrix solved three ways —
-//   cold      value Detect: per-call regex build + Thompson construction
-//             (the pre-cache hot path);
+//   cold      the value linear detectors (every read is linear): per-call
+//             regex build + Thompson construction, no store;
 //   warm_nfa  ref Detect with the product cache disabled: compiled NFAs
 //             come from PatternStore::compiled, products are recomputed;
 //   warm      ref Detect, fully cached: compiled NFAs + memoized
@@ -25,6 +25,8 @@
 #include "bench/bench_util.h"
 #include "benchmark/benchmark.h"
 #include "conflict/detector.h"
+#include "conflict/read_delete.h"
+#include "conflict/read_insert.h"
 #include "conflict/update_op.h"
 #include "pattern/pattern_store.h"
 #include "xml/xml_parser.h"
@@ -83,14 +85,22 @@ Workload MakeWorkload() {
   return w;
 }
 
-/// One full matrix pass through the value facade (per-call construction).
+/// One full matrix pass through the value linear detectors (per-call
+/// construction).
 uint64_t PassCold(const Workload& w, const DetectorOptions& options,
                   std::vector<ConflictVerdict>* verdicts) {
   uint64_t solved = 0;
   for (const PatternRef read : w.reads) {
     const Pattern& read_pattern = w.store->pattern(read);
     for (const UpdateOp& update : w.updates) {
-      Result<ConflictReport> r = Detect(read_pattern, update, options);
+      Result<ConflictReport> r =
+          update.kind() == UpdateOp::Kind::kInsert
+              ? DetectLinearReadInsertConflict(
+                    read_pattern, update.pattern(), update.content(),
+                    options.semantics, options.matcher, options.build_witness)
+              : DetectLinearReadDeleteConflict(
+                    read_pattern, update.pattern(), options.semantics,
+                    options.matcher, options.build_witness);
       if (r.ok()) {
         ++solved;
         if (verdicts) verdicts->push_back(r->verdict);
@@ -173,7 +183,7 @@ std::string MeasureDetectHot() {
   };
 
   uint64_t sink = 0;
-  // Cold: the value facade rebuilds regexes and NFAs on every call.
+  // Cold: the value linear detectors rebuild regexes and NFAs per call.
   const double cold_s =
       time_best([&] { sink += PassCold(w, options, nullptr); });
   // Warm NFA only: compiled automata reused, products recomputed per call.

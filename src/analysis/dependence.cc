@@ -37,6 +37,7 @@ bool IsUpdate(const Statement& s) {
 
 std::optional<UpdateOp> ToUpdateOp(const Statement& s) {
   if (s.kind == Statement::Kind::kInsert) {
+    if (s.content == nullptr) return std::nullopt;
     return UpdateOp::MakeInsert(s.pattern, s.content);
   }
   Result<UpdateOp> del = UpdateOp::MakeDelete(s.pattern);
@@ -52,46 +53,25 @@ DependenceAnalyzer::DependenceAnalyzer(DetectorOptions options)
 DependenceAnalyzer::DependenceAnalyzer(BatchDetectorOptions options)
     : options_(options), batch_(options) {}
 
-bool DependenceAnalyzer::MustOrder(const Statement& a,
-                                   const Statement& b) const {
-  if (a.target_var != b.target_var) return false;
-  if (a.kind == Statement::Kind::kRead && b.kind == Statement::Kind::kRead) {
-    return false;
-  }
-  if (IsUpdate(a) && IsUpdate(b)) {
-    // §6: update-update conflicts are NP-hard in general, but the sound
-    // commutativity certificate of update_independence.h proves many pairs
-    // reorderable; anything uncertified stays ordered.
-    std::optional<UpdateOp> op_a = ToUpdateOp(a);
-    std::optional<UpdateOp> op_b = ToUpdateOp(b);
-    if (!op_a.has_value() || !op_b.has_value()) return true;
-    Result<IndependenceReport> cert =
-        CertifyUpdatesCommute(*op_a, *op_b, options_.detector);
-    return !cert.ok() ||
-           cert->certificate != CommutativityCertificate::kCertified;
-  }
-
-  const Statement& read = a.kind == Statement::Kind::kRead ? a : b;
-  const Statement& update = a.kind == Statement::Kind::kRead ? b : a;
-
-  std::optional<UpdateOp> op = ToUpdateOp(update);
-  if (!op.has_value()) return true;  // malformed update: stay conservative
-  Result<ConflictReport> report = Detect(read.pattern, *op, options_.detector);
-  if (!report.ok()) return true;
-  return report->verdict != ConflictVerdict::kNoConflict;
-}
-
 DependenceAnalysisResult DependenceAnalyzer::Analyze(
     const Program& program) const {
   obs::TraceSpan span("DependenceAnalyze");
   DependenceAnalysisResult result;
   const auto& statements = program.statements();
 
-  // Pass 1: collect every read/update pair on a shared variable for the
-  // batch engine; each statement enters the read/update pools once, and
-  // its pattern is interned into the engine's store here — the batch call
-  // below then runs entirely on refs, with no per-pair canonicalization.
+  // Pass 1: bind every well-formed update once (malformed ones stay
+  // unbound and are resolved inline), then collect every read/update pair
+  // on a shared variable for the batch engine; each statement enters the
+  // read/update pools once, and its pattern is interned into the engine's
+  // store here — the batch call below then runs entirely on refs, with no
+  // per-pair canonicalization.
   const std::shared_ptr<PatternStore>& store = batch_.pattern_store();
+  std::vector<std::optional<UpdateOp>> ops(statements.size());
+  for (size_t s = 0; s < statements.size(); ++s) {
+    if (!IsUpdate(statements[s])) continue;
+    std::optional<UpdateOp> op = ToUpdateOp(statements[s]);
+    if (op.has_value()) ops[s] = op->Bind(store);
+  }
   std::vector<PatternRef> reads;
   std::vector<UpdateOp> updates;
   std::unordered_map<size_t, size_t> read_slot;    // statement → reads idx
@@ -102,14 +82,10 @@ DependenceAnalysisResult DependenceAnalyzer::Analyze(
     if (inserted) reads.push_back(store->Intern(statements[s].pattern));
     return it->second;
   };
-  auto update_index_of = [&](size_t s) -> std::optional<size_t> {
-    auto it = update_slot.find(s);
-    if (it != update_slot.end()) return it->second;
-    std::optional<UpdateOp> op = ToUpdateOp(statements[s]);
-    if (!op.has_value()) return std::nullopt;  // malformed: resolved inline
-    update_slot.emplace(s, updates.size());
-    updates.push_back(op->Bind(store));
-    return updates.size() - 1;
+  auto update_index_of = [&](size_t s) {
+    auto [it, inserted] = update_slot.emplace(s, updates.size());
+    if (inserted) updates.push_back(*ops[s]);
+    return it->second;
   };
   for (size_t i = 0; i < statements.size(); ++i) {
     for (size_t j = i + 1; j < statements.size(); ++j) {
@@ -119,9 +95,8 @@ DependenceAnalysisResult DependenceAnalyzer::Analyze(
       if (IsUpdate(a) == IsUpdate(b)) continue;  // read/read, update/update
       const size_t read_stmt = IsUpdate(a) ? j : i;
       const size_t update_stmt = IsUpdate(a) ? i : j;
-      std::optional<size_t> u = update_index_of(update_stmt);
-      if (!u.has_value()) continue;
-      pairs.push_back({read_index_of(read_stmt), *u});
+      if (!ops[update_stmt].has_value()) continue;
+      pairs.push_back({read_index_of(read_stmt), update_index_of(update_stmt)});
     }
   }
   const std::vector<SharedConflictResult> verdicts =
@@ -139,7 +114,16 @@ DependenceAnalysisResult DependenceAnalyzer::Analyze(
       if (a.target_var != b.target_var || (!IsUpdate(a) && !IsUpdate(b))) {
         ordered = false;
       } else if (IsUpdate(a) && IsUpdate(b)) {
-        ordered = MustOrder(a, b);
+        // §6: update-update conflicts are NP-hard in general, but the
+        // sound commutativity certificate of update_independence.h proves
+        // many pairs reorderable; anything uncertified stays ordered.
+        ordered = true;
+        if (ops[i].has_value() && ops[j].has_value()) {
+          const Result<IndependenceReport> cert =
+              CertifyUpdatesCommute(*ops[i], *ops[j], options_.detector);
+          ordered = !cert.ok() ||
+                    cert->certificate != CommutativityCertificate::kCertified;
+        }
       } else if (update_slot.count(IsUpdate(a) ? i : j) != 0) {
         const Result<ConflictReport>& report = *verdicts[next_verdict++];
         ordered = !report.ok() ||

@@ -21,9 +21,9 @@ namespace xmlup {
 ///  - read/update pairs use the unified conflict detector (complete for
 ///    linear reads, Theorems 1-2); an Unknown verdict is treated as a
 ///    dependence (conservative);
-///  - update/update pairs on the same variable are conservatively
-///    dependent (see §6 on the subtleties of update-update semantics;
-///    commutativity checking is available separately).
+///  - update/update pairs on the same variable stay dependent unless the
+///    §6 commutativity certificate (conflict/update_independence.h)
+///    proves them reorderable.
 ///
 /// Analyze() routes all read/update pairs through the batch
 /// conflict-matrix engine (conflict/batch_detector.h): the full pair set
@@ -53,10 +53,6 @@ class DependenceAnalyzer {
   explicit DependenceAnalyzer(DetectorOptions options = {});
   /// Full control over threading and memoization of the batch engine.
   explicit DependenceAnalyzer(BatchDetectorOptions options);
-
-  /// True if statements a (earlier) and b (later) must stay ordered.
-  /// Single-pair entry point; Analyze() is the batched equivalent.
-  bool MustOrder(const Statement& a, const Statement& b) const;
 
   DependenceAnalysisResult Analyze(const Program& program) const;
 

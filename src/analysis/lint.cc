@@ -7,6 +7,7 @@
 
 #include "analysis/optimizer.h"
 #include "common/string_util.h"
+#include "common/wavefront.h"
 #include "conflict/minimize.h"
 #include "conflict/update_independence.h"
 #include "obs/metrics.h"
@@ -253,6 +254,9 @@ Linter::Linter(LintOptions options)
         // to rewrite content *below* a read's result nodes. Forced here,
         // whatever the caller put in options.batch.detector.semantics.
         options.batch.detector.semantics = ConflictSemantics::kTree;
+        // Diagnostics read verdicts only; witness trees would only mint
+        // fresh labels into the shared SymbolTable.
+        options.batch.detector.build_witness = false;
         // A linter given a schema treats documents as conformant to it:
         // the same Dtd that drives the dtd-violation pass also feeds the
         // detector's Stage 0 type filter, so schema-disjoint statement
@@ -695,20 +699,14 @@ LintResult Linter::Lint(const Program& program) const {
   // are pairwise independent.
   if (options_.partition && n > 0) {
     obs::TraceSpan span("Lint.partition");
-    std::vector<size_t> level(n, 0);
+    std::vector<std::pair<size_t, size_t>> dag;
+    dag.reserve(edges.size());
     for (const DependenceEdge& edge : edges) {
-      // Edges go from lower to higher index, so one forward sweep settles
-      // all longest paths.
-      level[edge.to] = std::max(level[edge.to], level[edge.from] + 1);
+      dag.emplace_back(edge.from, edge.to);
     }
-    const size_t num_levels = 1 + *std::max_element(level.begin(), level.end());
-    result.partition.batches.assign(num_levels, {});
-    for (size_t i = 0; i < n; ++i) {
-      result.partition.batches[level[i]].push_back(i);
-    }
-    for (const auto& batch : result.partition.batches) {
-      result.partition.width = std::max(result.partition.width, batch.size());
-    }
+    Wavefronts waves = ComputeWavefronts(n, dag);
+    result.partition.batches = std::move(waves.batches);
+    result.partition.width = waves.width;
     std::vector<size_t> schedule;
     for (const auto& batch : result.partition.batches) {
       schedule.insert(schedule.end(), batch.begin(), batch.end());
@@ -733,7 +731,8 @@ LintResult Linter::Lint(const Program& program) const {
     }
     emit(LintRule::kParallelPartition, {},
          std::to_string(n) + " statements partition into " +
-             std::to_string(num_levels) + " independent batches (parallel "
+             std::to_string(result.partition.batches.size()) +
+             " independent batches (parallel "
              "width " + std::to_string(result.partition.width) + ")",
          std::move(fixit));
   }

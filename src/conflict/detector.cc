@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
-#include "pattern/pattern_ops.h"
 #include "xml/tree_algos.h"
 
 namespace xmlup {
@@ -97,28 +96,42 @@ void CountOutcome(const DetectorMetrics& metrics,
   }
 }
 
-/// Stage 0 for the value path: type summaries computed directly from the
-/// patterns (no store to cache them in). Returns the pruned report, or
-/// nullopt when Stage 0 is disabled or cannot prove independence.
-std::optional<ConflictReport> TypePruneValue(const Pattern& read,
-                                             const Pattern& update_pattern,
-                                             const Tree* insert_content,
-                                             const DetectorOptions& options) {
-  if (options.dtd == nullptr || !options.enable_type_pruning) {
-    return std::nullopt;
+/// The only per-kind code in the pipeline: the compiled linear core
+/// (Lemma 3 for deletes, Lemmas 5-7 for inserts), the Lemma 1 witness
+/// checker and the bounded search. `content` is null for deletes.
+struct UpdateKindOps {
+  const Pattern& update;
+  const CompiledPattern& update_compiled;
+  const Tree* content;
+  const DetectorOptions& options;
+
+  Result<ConflictReport> Linear(const CompiledPattern& read,
+                                bool build_witness) const {
+    if (content != nullptr) {
+      return DetectReadInsertConflictCompiled(
+          read, update_compiled, update, *content, options.semantics,
+          options.matcher, build_witness);
+    }
+    return DetectReadDeleteConflictCompiled(read, update_compiled, update,
+                                            options.semantics, options.matcher,
+                                            build_witness);
   }
-  const TypeSummary read_summary = ComputeTypeSummary(read, *options.dtd);
-  const TypeSummary update_summary =
-      ComputeTypeSummary(update_pattern, *options.dtd);
-  const bool pruned =
-      insert_content != nullptr
-          ? TypePrunesReadInsert(read_summary, update_summary, *insert_content,
-                                 options.semantics)
-          : TypePrunesReadDelete(read_summary, update_summary,
-                                 options.semantics);
-  if (!pruned) return std::nullopt;
-  return TypePrunedReport();
-}
+
+  bool IsWitness(const Pattern& read, const Tree& t) const {
+    return content != nullptr
+               ? IsReadInsertWitness(read, update, *content, t,
+                                     options.semantics)
+               : IsReadDeleteWitness(read, update, t, options.semantics);
+  }
+
+  BruteForceResult Search(const Pattern& read) const {
+    return content != nullptr
+               ? BruteForceReadInsertSearch(read, update, *content,
+                                            options.semantics, options.search)
+               : BruteForceReadDeleteSearch(read, update, options.semantics,
+                                            options.search);
+  }
+};
 
 /// Heuristic fast path for branching reads: run the complete linear
 /// algorithm on the read's mainline; if that conflicts, extend its witness
@@ -126,14 +139,13 @@ std::optional<ConflictReport> TypePruneValue(const Pattern& read,
 /// check the result against the definitional checker. Sound — anything
 /// accepted is a verified witness — but incomplete; failures fall through
 /// to the bounded search.
-template <typename VerifyFn>
 std::optional<Tree> TryMainlineWitness(const Pattern& read,
                                        const ConflictReport& linear,
-                                       const VerifyFn& is_witness) {
+                                       const UpdateKindOps& ops) {
   if (!linear.conflict() || !linear.witness.has_value()) return std::nullopt;
   Tree candidate = CopyTree(*linear.witness);
   GraftBranchModelsEverywhere(&candidate, read);
-  if (is_witness(candidate)) return candidate;
+  if (ops.IsWitness(read, candidate)) return candidate;
   return std::nullopt;
 }
 
@@ -173,174 +185,53 @@ ConflictReport FromSearch(BruteForceResult search, size_t paper_bound,
   return report;
 }
 
-Result<ConflictReport> DetectInsertImpl(const Pattern& read,
-                                        const Pattern& insert_pattern,
-                                        const Tree& inserted,
-                                        const DetectorOptions& options) {
+/// Stages 0-2 for one pair, shared by both update kinds. The linear path
+/// and the branching heuristic's mainline probe run on the store's
+/// compiled automata (the compiled read *is* its mainline chain, so one
+/// compiled core serves both); only the heuristic extension and the
+/// bounded search touch the stored pattern.
+Result<ConflictReport> RunPipeline(const PatternStore& store, PatternRef read,
+                                   const UpdateOp& update,
+                                   const DetectorOptions& options) {
+  const Tree* content = update.kind() == UpdateOp::Kind::kInsert
+                            ? &update.content()
+                            : nullptr;
+  if (content == nullptr) {
+    XMLUP_RETURN_NOT_OK(ValidateDeletePattern(update.pattern()));
+  }
   if (std::optional<ConflictReport> pruned =
-          TypePruneValue(read, insert_pattern, &inserted, options)) {
+          TypePruneStage(store, read, update.kind(), update.pattern_ref(),
+                         content, options)) {
     return std::move(*pruned);
   }
+  const UpdateKindOps ops{update.pattern(),
+                          store.compiled(update.pattern_ref()), content,
+                          options};
   const DetectorMetrics& metrics = DetectorMetrics::Get();
-  if (read.IsLinear()) {
+  const CompiledPattern& read_compiled = store.compiled(read);
+  if (store.linear(read)) {
     metrics.dispatch_linear.Increment();
-    return DetectLinearReadInsertConflict(read, insert_pattern, inserted,
-                                          options.semantics, options.matcher,
-                                          options.build_witness);
+    return ops.Linear(read_compiled, options.build_witness);
   }
   metrics.dispatch_branching.Increment();
-  // Heuristic: conflict of the read's mainline often extends to the full
+  // Heuristic: a conflict of the read's mainline often extends to the full
   // branching read once its predicates are satisfiable everywhere. The
-  // mainline call always builds its witness — TryMainlineWitness extends
+  // mainline probe always builds its witness — TryMainlineWitness extends
   // that verified tree.
   Result<ConflictReport> mainline_report =
-      DetectLinearReadInsertConflict(Mainline(read), insert_pattern, inserted,
-                                     options.semantics, options.matcher,
-                                     /*build_witness=*/true);
-  // The mainline run uses the complete linear algorithm on valid inputs
-  // (the mainline of any read is linear); a failure is a real
+      ops.Linear(read_compiled, /*build_witness=*/true);
+  // The mainline of any read is linear, so a failure here is a real
   // InvalidArgument/Internal error, not a heuristic miss — propagate it
   // instead of masking it behind the bounded search.
   if (!mainline_report.ok()) return mainline_report;
-  std::optional<Tree> candidate = TryMainlineWitness(
-      read, *mainline_report, [&](const Tree& t) {
-        return IsReadInsertWitness(read, insert_pattern, inserted, t,
-                                   options.semantics);
-      });
-  if (candidate.has_value()) {
-    return MainlineHeuristicReport(std::move(*candidate));
-  }
-  BruteForceResult search = BruteForceReadInsertSearch(
-      read, insert_pattern, inserted, options.semantics, options.search);
-  return FromSearch(std::move(search),
-                    PaperWitnessBound(read, insert_pattern),
-                    options.search.max_nodes);
-}
-
-Result<ConflictReport> DetectDeleteImpl(const Pattern& read,
-                                        const Pattern& delete_pattern,
-                                        const DetectorOptions& options) {
-  XMLUP_RETURN_NOT_OK(ValidateDeletePattern(delete_pattern));
-  if (std::optional<ConflictReport> pruned = TypePruneValue(
-          read, delete_pattern, /*insert_content=*/nullptr, options)) {
-    return std::move(*pruned);
-  }
-  const DetectorMetrics& metrics = DetectorMetrics::Get();
-  if (read.IsLinear()) {
-    metrics.dispatch_linear.Increment();
-    return DetectLinearReadDeleteConflict(read, delete_pattern,
-                                          options.semantics, options.matcher,
-                                          options.build_witness);
-  }
-  metrics.dispatch_branching.Increment();
-  Result<ConflictReport> mainline_report =
-      DetectLinearReadDeleteConflict(Mainline(read), delete_pattern,
-                                     options.semantics, options.matcher,
-                                     /*build_witness=*/true);
-  // See DetectInsertImpl: a mainline failure is a real error, not a
-  // heuristic miss.
-  if (!mainline_report.ok()) return mainline_report;
-  std::optional<Tree> candidate = TryMainlineWitness(
-      read, *mainline_report, [&](const Tree& t) {
-        return IsReadDeleteWitness(read, delete_pattern, t,
-                                   options.semantics);
-      });
-  if (candidate.has_value()) {
-    return MainlineHeuristicReport(std::move(*candidate));
-  }
-  BruteForceResult search = BruteForceReadDeleteSearch(
-      read, delete_pattern, options.semantics, options.search);
-  return FromSearch(std::move(search),
-                    PaperWitnessBound(read, delete_pattern),
-                    options.search.max_nodes);
-}
-
-/// Cached mirror of DetectInsertImpl: the linear path and the branching
-/// heuristic's mainline probe run on the store's compiled automata (the
-/// compiled read *is* its mainline chain, so one compiled core serves
-/// both); only the heuristic extension and the bounded search still touch
-/// the stored pattern. Dispatch counters and reports match the value impl
-/// exactly.
-Result<ConflictReport> DetectInsertCachedImpl(const PatternStore& store,
-                                              PatternRef read,
-                                              const Pattern& insert_pattern,
-                                              PatternRef insert_ref,
-                                              const Tree& inserted,
-                                              const DetectorOptions& options) {
-  if (std::optional<ConflictReport> pruned =
-          TypePruneStage(store, read, UpdateOp::Kind::kInsert, insert_ref,
-                         &inserted, options)) {
-    return std::move(*pruned);
-  }
-  const DetectorMetrics& metrics = DetectorMetrics::Get();
-  const CompiledPattern& read_compiled = store.compiled(read);
-  const CompiledPattern& insert_compiled = store.compiled(insert_ref);
-  if (store.linear(read)) {
-    metrics.dispatch_linear.Increment();
-    return DetectReadInsertConflictCompiled(
-        read_compiled, insert_compiled, insert_pattern, inserted,
-        options.semantics, options.matcher, options.build_witness);
-  }
-  metrics.dispatch_branching.Increment();
-  Result<ConflictReport> mainline_report = DetectReadInsertConflictCompiled(
-      read_compiled, insert_compiled, insert_pattern, inserted,
-      options.semantics, options.matcher, /*build_witness=*/true);
-  if (!mainline_report.ok()) return mainline_report;
   const Pattern& full_read = store.pattern(read);
-  std::optional<Tree> candidate = TryMainlineWitness(
-      full_read, *mainline_report, [&](const Tree& t) {
-        return IsReadInsertWitness(full_read, insert_pattern, inserted, t,
-                                   options.semantics);
-      });
+  std::optional<Tree> candidate =
+      TryMainlineWitness(full_read, *mainline_report, ops);
   if (candidate.has_value()) {
     return MainlineHeuristicReport(std::move(*candidate));
   }
-  BruteForceResult search = BruteForceReadInsertSearch(
-      full_read, insert_pattern, inserted, options.semantics, options.search);
-  return FromSearch(std::move(search),
-                    PaperWitnessBound(full_read, insert_pattern),
-                    options.search.max_nodes);
-}
-
-/// Cached mirror of DetectDeleteImpl; see DetectInsertCachedImpl.
-Result<ConflictReport> DetectDeleteCachedImpl(const PatternStore& store,
-                                              PatternRef read,
-                                              const Pattern& delete_pattern,
-                                              PatternRef delete_ref,
-                                              const DetectorOptions& options) {
-  XMLUP_RETURN_NOT_OK(ValidateDeletePattern(delete_pattern));
-  if (std::optional<ConflictReport> pruned =
-          TypePruneStage(store, read, UpdateOp::Kind::kDelete, delete_ref,
-                         /*insert_content=*/nullptr, options)) {
-    return std::move(*pruned);
-  }
-  const DetectorMetrics& metrics = DetectorMetrics::Get();
-  const CompiledPattern& read_compiled = store.compiled(read);
-  const CompiledPattern& delete_compiled = store.compiled(delete_ref);
-  if (store.linear(read)) {
-    metrics.dispatch_linear.Increment();
-    return DetectReadDeleteConflictCompiled(
-        read_compiled, delete_compiled, delete_pattern, options.semantics,
-        options.matcher, options.build_witness);
-  }
-  metrics.dispatch_branching.Increment();
-  Result<ConflictReport> mainline_report = DetectReadDeleteConflictCompiled(
-      read_compiled, delete_compiled, delete_pattern, options.semantics,
-      options.matcher, /*build_witness=*/true);
-  if (!mainline_report.ok()) return mainline_report;
-  const Pattern& full_read = store.pattern(read);
-  std::optional<Tree> candidate = TryMainlineWitness(
-      full_read, *mainline_report, [&](const Tree& t) {
-        return IsReadDeleteWitness(full_read, delete_pattern, t,
-                                   options.semantics);
-      });
-  if (candidate.has_value()) {
-    return MainlineHeuristicReport(std::move(*candidate));
-  }
-  BruteForceResult search = BruteForceReadDeleteSearch(
-      full_read, delete_pattern, options.semantics, options.search);
-  return FromSearch(std::move(search),
-                    PaperWitnessBound(full_read, delete_pattern),
+  return FromSearch(ops.Search(full_read),
+                    PaperWitnessBound(full_read, update.pattern()),
                     options.search.max_nodes);
 }
 
@@ -372,56 +263,27 @@ std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
   return TypePrunedReport();
 }
 
-Result<ConflictReport> Detect(const Pattern& read, const UpdateOp& update,
-                              const DetectorOptions& options) {
-  const DetectorMetrics& metrics = DetectorMetrics::Get();
-  metrics.calls.Increment();
-  obs::ScopedTimer timer(&metrics.latency_us);
-  obs::TraceSpan span("Detect");
-  Result<ConflictReport> result = update.Visit(
-      [&](const UpdateOp::InsertDesc& insert) -> Result<ConflictReport> {
-        return DetectInsertImpl(read, insert.pattern, *insert.content,
-                                options);
-      },
-      [&](const UpdateOp::DeleteDesc& del) -> Result<ConflictReport> {
-        return DetectDeleteImpl(read, del.pattern, options);
-      });
-  CountOutcome(metrics, result);
-  return result;
-}
-
 Result<ConflictReport> Detect(const PatternStore& store, PatternRef read,
                               const UpdateOp& update,
                               const DetectorOptions& options) {
   const DetectorMetrics& metrics = DetectorMetrics::Get();
+  metrics.calls.Increment();
+  // Malformed operands are counted errors, not crashes: callers handing out
+  // refs (services, the lint driver) get a diagnosable status and the
+  // accounting invariant still holds.
   if (!read.valid() || read.id() >= store.size()) {
-    // A counted error, not a crash: callers handing out refs (services,
-    // the lint driver) get a diagnosable status and the accounting
-    // invariant still holds.
-    metrics.calls.Increment();
     metrics.errors.Increment();
     return Status::InvalidArgument(
         "PatternRef is invalid or does not belong to this store");
   }
   if (update.pattern_store() != &store || !update.pattern_ref().valid()) {
-    // Update not bound to this store: no compiled form to fetch for it —
-    // resolve the read and take the value path (which does its own call
-    // accounting).
-    return Detect(store.pattern(read), update, options);
+    metrics.errors.Increment();
+    return Status::InvalidArgument(
+        "update is not bound to this store (UpdateOp::Bind / Engine::Bind)");
   }
-  metrics.calls.Increment();
   obs::ScopedTimer timer(&metrics.latency_us);
   obs::TraceSpan span("Detect");
-  const PatternRef update_ref = update.pattern_ref();
-  Result<ConflictReport> result = update.Visit(
-      [&](const UpdateOp::InsertDesc& insert) -> Result<ConflictReport> {
-        return DetectInsertCachedImpl(store, read, insert.pattern, update_ref,
-                                      *insert.content, options);
-      },
-      [&](const UpdateOp::DeleteDesc& del) -> Result<ConflictReport> {
-        return DetectDeleteCachedImpl(store, read, del.pattern, update_ref,
-                                      options);
-      });
+  Result<ConflictReport> result = RunPipeline(store, read, update, options);
   CountOutcome(metrics, result);
   return result;
 }

@@ -23,12 +23,12 @@ struct DetectorOptions {
   /// Budget for the NP path (branching reads).
   BoundedSearchOptions search;
   /// Construct (and re-verify) a witness tree on kConflict verdicts.
-  /// Verdict-only callers (the batch matrix, lint) can turn this off: the
-  /// witness construction mints fresh labels and re-runs the Lemma 1
-  /// checker per conflict, which dominates the cached hot path. Verdict,
-  /// method and detail are unaffected. The branching-read heuristic
-  /// internally still builds the mainline witness it extends (its
-  /// soundness proof needs the verified tree).
+  /// Verdict-only callers (the batch matrix, lint, the §6 commutativity
+  /// certificates) can turn this off: the witness construction mints fresh
+  /// labels and re-runs the Lemma 1 checker per conflict, which dominates
+  /// the cached hot path. Verdict, method and detail are unaffected. The
+  /// branching-read heuristic internally still builds the mainline witness
+  /// it extends (its soundness proof needs the verified tree).
   bool build_witness = true;
   /// Schema for the Stage 0 type-pruning filter (dtd/type_summary.h).
   /// When set, detection is *conservative under the schema*: Stage 0 may
@@ -44,12 +44,6 @@ struct DetectorOptions {
   /// pruning off (or no schema) the pipeline is byte-identical to the
   /// pre-Stage-0 detector.
   bool enable_type_pruning = true;
-  /// Multi-pair scans (conflict/transactions.h): record *every*
-  /// uncertified pair in deterministic order instead of stopping at the
-  /// first — what a scheduler needs to distinguish one bad pair from a
-  /// dense conflict. The default keeps the cheap early exit. Single-pair
-  /// Detect/Certify calls ignore this.
-  bool exhaustive = false;
 };
 
 /// Stage 0 of the staged verdict pipeline, exposed for batch callers that
@@ -60,7 +54,7 @@ struct DetectorOptions {
 /// Summaries are served from the store's per-entry cache
 /// (PatternStore::type_summary). `insert_content` is required for insert
 /// updates and ignored for deletes. Does not touch the detector.* counters
-/// — Detect's own Stage 0 does its accounting inside the facade.
+/// — Detect's own Stage 0 does its accounting inside the pipeline.
 std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
                                              PatternRef read,
                                              UpdateOp::Kind kind,
@@ -68,42 +62,32 @@ std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
                                              const Tree* insert_content,
                                              const DetectorOptions& options);
 
-/// Unified read-update conflict detection — the one entry point of the
-/// detector stack, a staged verdict pipeline where each stage either
-/// returns a final report or hands the pair down:
+/// Read-update conflict detection — the one detector pipeline. The read
+/// is an interned pattern and `update` must be bound to the same `store`
+/// (the ref factories, UpdateOp::Bind or Engine::Bind); Engine::Detect
+/// binds on the caller's behalf. Detection runs on the store's
+/// pre-minimized patterns and compiled automata (PatternStore::compiled),
+/// with product results memoized in NfaProductCache::Default(). A staged
+/// verdict pipeline where each stage either returns a final report or
+/// hands the pair down:
 ///   - Stage 0 (only with options.dtd set): the schema-type disjointness
 ///     filter — method kTypePruned, always kNoConflict, no automata work;
-///   - Stage 1: dispatch on the update's kind and the read's shape —
-///     linear read: the complete polynomial algorithms (Theorems 1-2,
-///     Corollaries 1-2), method kLinearPtime, definitive verdict;
-///     branching read: the sound mainline heuristic (method
-///     kMainlineHeuristic on success);
+///   - Stage 1: dispatch on the read's shape — linear read: the complete
+///     polynomial algorithms (Theorems 1-2, Corollaries 1-2), method
+///     kLinearPtime, definitive verdict; branching read: the sound
+///     mainline heuristic (method kMainlineHeuristic on success);
 ///   - Stage 2: bounded witness search (method kBoundedSearch), which may
 ///     answer kUnknown when the budget does not cover the paper's witness
 ///     bound.
+/// Minimization is equivalence-preserving, so verdicts hold for the
+/// original (un-minimized) patterns too.
 ///
-/// Per-call verdict/method counters and a latency histogram are reported
-/// into obs::MetricsRegistry::Default(); a "Detect" span is recorded when
+/// An invalid read ref (or one minted by another store, when detectable)
+/// and an update that is unbound or bound to another store return
+/// InvalidArgument and count under detector.errors. Per-call
+/// verdict/method counters and a latency histogram are reported into
+/// obs::MetricsRegistry::Default(); a "Detect" span is recorded when
 /// obs::TraceRecorder::Default() is enabled.
-Result<ConflictReport> Detect(const Pattern& read, const UpdateOp& update,
-                              const DetectorOptions& options = {});
-
-/// Ref-based entry point: the read is an interned pattern; the detector
-/// fetches its pre-minimized form from `store` (O(1), no canonicalization)
-/// and otherwise behaves exactly like the value overload. The verdict is
-/// identical to Detect(store.pattern(read), ...) by construction, and to
-/// detection on the original (un-minimized) pattern because minimization
-/// is equivalence-preserving.
-///
-/// This is the hot path: when `update` is bound to `store` (the ref
-/// factories or UpdateOp::Bind), detection runs on the store's compiled
-/// automata (PatternStore::compiled) with product results memoized in
-/// NfaProductCache::Default() — no per-call regex/NFA construction.
-/// Reports are identical to the value overload's on the stored pattern,
-/// field for field. An update not bound to this store falls back to the
-/// value overload on the resolved read. An invalid ref (or one minted by
-/// another store, when detectable) returns InvalidArgument and counts
-/// under detector.errors.
 Result<ConflictReport> Detect(const PatternStore& store, PatternRef read,
                               const UpdateOp& update,
                               const DetectorOptions& options = {});

@@ -19,8 +19,10 @@ Result<Tree> BuildNodeConflictWitness(const Pattern& read,
                                       const ClassWord& word,
                                       ConflictSemantics semantics) {
   NodeId u = kNullNode;
-  Tree witness = MatchWordToPath(word, read.symbols(), &u);
-  const Label filler = read.symbols()->Fresh("mfill");
+  Tree witness = MatchWordToPath(
+      word, read.symbols(),
+      UnusedLabel("wfill", read, delete_pattern, nullptr), &u);
+  const Label filler = UnusedLabel("mfill", read, delete_pattern, nullptr);
 
   if (read.axis(n_prime) == Axis::kDescendant) {
     // Descendant edge (n, n'): insert a model of SEQ_{n'}^{O(R)} as a child
@@ -58,7 +60,9 @@ Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
                                              const Pattern& delete_pattern,
                                              const ClassWord& word,
                                              ConflictSemantics semantics) {
-  Tree witness = MatchWordToPath(word, read.symbols(), nullptr);
+  Tree witness = MatchWordToPath(
+      word, read.symbols(),
+      UnusedLabel("wfill", read, delete_pattern, nullptr));
   GraftBranchModelsEverywhere(&witness, delete_pattern);
   if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
     return witness;
@@ -201,18 +205,6 @@ Result<ConflictReport> DetectReadDeleteConflictCompiled(
     }
   }
   return report;
-}
-
-Result<ConflictReport> DetectLinearReadDeleteConflict(
-    const PatternStore& store, PatternRef read, PatternRef delete_pattern,
-    ConflictSemantics semantics, MatcherKind matcher, bool build_witness) {
-  if (!store.linear(read)) {
-    return Status::InvalidArgument(
-        "read pattern must be linear (P^{//,*}) for polynomial detection");
-  }
-  return DetectReadDeleteConflictCompiled(
-      store.compiled(read), store.compiled(delete_pattern),
-      store.pattern(delete_pattern), semantics, matcher, build_witness);
 }
 
 }  // namespace xmlup

@@ -16,7 +16,9 @@ Result<Tree> BuildCutEdgeWitness(const Pattern& read,
   // The word is the path from the root to the insertion point u; after the
   // insertion the read continues inside the grafted copy of X, so the path
   // alone is the witness (Lemma 6 "(If)").
-  Tree witness = MatchWordToPath(word, read.symbols(), nullptr);
+  Tree witness = MatchWordToPath(
+      word, read.symbols(),
+      UnusedLabel("wfill", read, insert_pattern, &inserted));
   GraftBranchModelsEverywhere(&witness, insert_pattern);
   if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
                           semantics)) {
@@ -40,7 +42,9 @@ Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
                                              const Tree& inserted,
                                              const ClassWord& word,
                                              ConflictSemantics semantics) {
-  Tree witness = MatchWordToPath(word, read.symbols(), nullptr);
+  Tree witness = MatchWordToPath(
+      word, read.symbols(),
+      UnusedLabel("wfill", read, insert_pattern, &inserted));
   GraftBranchModelsEverywhere(&witness, insert_pattern);
   if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
                           semantics)) {
@@ -198,20 +202,6 @@ Result<ConflictReport> DetectReadInsertConflictCompiled(
     }
   }
   return report;
-}
-
-Result<ConflictReport> DetectLinearReadInsertConflict(
-    const PatternStore& store, PatternRef read, PatternRef insert_pattern,
-    const Tree& inserted, ConflictSemantics semantics, MatcherKind matcher,
-    bool build_witness) {
-  if (!store.linear(read)) {
-    return Status::InvalidArgument(
-        "read pattern must be linear (P^{//,*}) for polynomial detection");
-  }
-  return DetectReadInsertConflictCompiled(
-      store.compiled(read), store.compiled(insert_pattern),
-      store.pattern(insert_pattern), inserted, semantics, matcher,
-      build_witness);
 }
 
 }  // namespace xmlup

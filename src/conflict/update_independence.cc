@@ -4,24 +4,27 @@ namespace xmlup {
 namespace {
 
 /// Treats `read_op`'s own pattern evaluation as a read and asks whether
-/// the other update can ever change it (node semantics). Ops bound to a
-/// PatternStore go through the ref facade, so transaction-level callers
-/// that Bind their ops once pay no per-pair canonicalization here.
+/// the other update can ever change it (node semantics). Both ops are bound
+/// to one store, so this runs on refs with no per-pair canonicalization.
+/// Only the verdict is read, so no witness tree is built.
 Result<ConflictReport> PatternVsUpdate(const UpdateOp& read_op,
                                        const UpdateOp& update,
                                        DetectorOptions options) {
   options.semantics = ConflictSemantics::kNode;
-  if (read_op.pattern_store() != nullptr && read_op.pattern_ref().valid()) {
-    return Detect(*read_op.pattern_store(), read_op.pattern_ref(), update,
-                  options);
-  }
-  return Detect(read_op.pattern(), update, options);
+  options.build_witness = false;
+  return Detect(*read_op.pattern_store(), read_op.pattern_ref(), update,
+                options);
 }
 
 }  // namespace
 
 Result<IndependenceReport> CertifyUpdatesCommute(
     const UpdateOp& o1, const UpdateOp& o2, const DetectorOptions& options) {
+  if (o1.pattern_store() == nullptr ||
+      o1.pattern_store() != o2.pattern_store()) {
+    return Status::InvalidArgument(
+        "CertifyUpdatesCommute: both ops must be bound to one PatternStore");
+  }
   IndependenceReport report;
 
   // Soundness argument (see header): if neither update can change the

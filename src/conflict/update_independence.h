@@ -41,7 +41,9 @@ struct IndependenceReport {
 /// Attempts to certify that o1 and o2 commute on every tree (value
 /// semantics). Uses the linear-pattern PTIME detectors where applicable;
 /// non-linear patterns fall back to the bounded search inside `options`
-/// (whose Unknowns propagate).
+/// (whose Unknowns propagate). Both ops must be bound to one PatternStore
+/// (UpdateOp::Bind); otherwise returns InvalidArgument. Engine::
+/// CertifyCommute binds on the caller's behalf.
 Result<IndependenceReport> CertifyUpdatesCommute(
     const UpdateOp& o1, const UpdateOp& o2,
     const DetectorOptions& options = {});

@@ -64,7 +64,7 @@ class UpdateOp {
 
   /// A copy of this op bound to `store`: its pattern interned (minimized)
   /// and the ref recorded. Amortizes canonicalization across pair loops
-  /// (update_independence, transactions, batch). Equivalence-preserving:
+  /// (update_independence, dependence, batch). Equivalence-preserving:
   /// the bound op selects the same nodes on every tree.
   UpdateOp Bind(const std::shared_ptr<PatternStore>& store) const;
 

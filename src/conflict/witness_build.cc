@@ -1,14 +1,33 @@
 #include "conflict/witness_build.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "pattern/pattern_ops.h"
 
 namespace xmlup {
 
+Label UnusedLabel(std::string_view prefix, const Pattern& read,
+                  const Pattern& update, const Tree* content) {
+  const std::shared_ptr<SymbolTable>& symbols = read.symbols();
+  const Label reserved = symbols->Reserved(prefix);
+  auto uses = [reserved](const Pattern& p) {
+    const std::vector<Label> labels = p.DistinctLabels();
+    return std::find(labels.begin(), labels.end(), reserved) != labels.end();
+  };
+  bool used = uses(read) || uses(update);
+  if (!used && content != nullptr) {
+    for (NodeId n : content->PreOrder()) {
+      if (content->label(n) == reserved) used = true;
+    }
+  }
+  return used ? symbols->Fresh(prefix) : reserved;
+}
+
 Tree MatchWordToPath(const ClassWord& word,
-                     const std::shared_ptr<SymbolTable>& symbols,
+                     const std::shared_ptr<SymbolTable>& symbols, Label filler,
                      NodeId* deepest) {
   XMLUP_CHECK(!word.empty());
-  const Label filler = symbols->Fresh("wfill");
   Tree tree = WordToPathTree(word, symbols, filler);
   if (deepest != nullptr) {
     NodeId n = tree.root();

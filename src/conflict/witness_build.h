@@ -1,6 +1,8 @@
 #ifndef XMLUP_CONFLICT_WITNESS_BUILD_H_
 #define XMLUP_CONFLICT_WITNESS_BUILD_H_
 
+#include <string_view>
+
 #include "match/matching.h"
 #include "pattern/pattern.h"
 #include "xml/tree.h"
@@ -10,12 +12,20 @@ namespace xmlup {
 /// Helpers shared by the witness constructions of the linear read-delete
 /// and read-insert detectors (proofs of Lemmas 3, 4, 6 and 8).
 
+/// A label used by none of `read`, `update` and `content` (may be null):
+/// the table's reserved `<prefix>$` label unless one of them uses it, else
+/// a fresh one. The constructions only need "a label not used in R, I or
+/// X"; drawing it from the reserved label keeps the shared SymbolTable from
+/// growing with every witness built.
+Label UnusedLabel(std::string_view prefix, const Pattern& read,
+                  const Pattern& update, const Tree* content);
+
 /// Materializes a match witness word as a path tree whose Any classes are
-/// resolved to a fresh symbol (one not occurring in any pattern).
-/// Returns the tree; `deepest` (optional) receives the last node of the
-/// path — the image of O(l1) in the match.
+/// resolved to `filler`, a label occurring in no pattern involved (see
+/// UnusedLabel). Returns the tree; `deepest` (optional) receives the last
+/// node of the path — the image of O(l1) in the match.
 Tree MatchWordToPath(const ClassWord& word,
-                     const std::shared_ptr<SymbolTable>& symbols,
+                     const std::shared_ptr<SymbolTable>& symbols, Label filler,
                      NodeId* deepest = nullptr);
 
 /// Lemma 4 / Lemma 8 extension step: for every branch subpattern of

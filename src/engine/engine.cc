@@ -56,20 +56,25 @@ UpdateOp Engine::Bind(const UpdateOp& op) const { return op.Bind(store_); }
 
 Result<ConflictReport> Engine::Detect(PatternRef read,
                                       const UpdateOp& update) const {
-  // Ops not bound to this store fall back to the value path inside the
-  // facade below; pre-binding (Engine::Bind) keeps this integer-keyed.
-  return xmlup::Detect(*store_, read, update, options_.batch.detector);
+  // Pre-bound ops (Engine::Bind) pay nothing extra; anything else is bound
+  // here, since the detector only accepts ops bound to its store.
+  if (update.pattern_store() == store_.get()) {
+    return xmlup::Detect(*store_, read, update, options_.batch.detector);
+  }
+  return xmlup::Detect(*store_, read, Bind(update), options_.batch.detector);
 }
 
 Result<ConflictReport> Engine::Detect(const Pattern& read,
                                       const UpdateOp& update) const {
-  return xmlup::Detect(*store_, store_->Intern(read), update,
-                       options_.batch.detector);
+  return Detect(store_->Intern(read), update);
 }
 
 Result<IndependenceReport> Engine::CertifyCommute(const UpdateOp& a,
                                                   const UpdateOp& b) const {
-  return CertifyUpdatesCommute(a, b, options_.batch.detector);
+  if (a.pattern_store() == store_.get() && b.pattern_store() == store_.get()) {
+    return CertifyUpdatesCommute(a, b, options_.batch.detector);
+  }
+  return CertifyUpdatesCommute(Bind(a), Bind(b), options_.batch.detector);
 }
 
 void Engine::CheckNotOnPoolWorker(const char* entry_point) const {
@@ -124,10 +129,11 @@ LintResult Engine::Lint(const Program& program, const LintRunOptions& run) {
   lint_options.dtd = run.dtd != nullptr ? run.dtd : options_.dtd.get();
   lint_options.partition = run.partition;
   CheckNotOnPoolWorker("Lint");
-  MutexLock lock(batch_mu_);
   // A fresh Linter per call: its memo cache is cold, but the shared store
   // keeps interned patterns and compiled automata warm — the distinct-pair
-  // solves, the expensive part, are amortized process-wide.
+  // solves, the expensive part, are amortized process-wide. The Linter owns
+  // its matrix engine and pool and touches only the thread-safe store, so
+  // concurrent Lint calls run in parallel rather than on batch_mu_.
   const Linter linter(lint_options);
   return linter.Lint(program);
 }

@@ -66,12 +66,17 @@ struct EngineOptions {
 ///     call from any number of threads concurrently (they ride the store's
 ///     internal locks and the lock-free compiled caches). This is the
 ///     driver's hot path; it never touches batch_mu_.
-///   - DetectMatrix / DetectPairs / Lint / AnalyzeDependences serialize on
+///   - DetectMatrix / DetectPairs / AnalyzeDependences serialize on
 ///     batch_mu_ (one matrix engine, one memo cache); each call still
 ///     parallelizes internally on the engine's pool. Because they block on
 ///     that pool, they must NOT be invoked from inside any ThreadPool
 ///     worker — doing so can deadlock the pool, so these entry points
 ///     CHECK-fail on re-entrant use from a worker thread.
+///   - Lint is safe to call from any number of threads concurrently: each
+///     call builds its own Linter (own matrix engine, memo cache and pool)
+///     over the shared store, so it never takes batch_mu_. It blocks on
+///     that per-call pool, so it CHECK-fails inside a ThreadPool worker
+///     like the serialized entry points.
 ///   - A Session is single-writer (as MaintainedConflictMatrix is), but
 ///     distinct sessions may be driven from distinct threads concurrently:
 ///     each session owns a private inline matrix engine over the shared
@@ -112,14 +117,16 @@ class Engine {
 
   /// --- Single-pair detection (thread-safe hot path) ---
 
-  /// Unified read/update conflict detection under the engine's options.
-  /// The ref overload runs on the store's compiled automata with product
-  /// memoization — no per-call canonicalization or NFA construction.
+  /// Read/update conflict detection under the engine's options, on the
+  /// store's compiled automata with product memoization. An op bound to
+  /// this engine (Bind) is used as is; any other op is bound first, which
+  /// costs one Intern per call. The Pattern overload also interns the read.
   Result<ConflictReport> Detect(PatternRef read, const UpdateOp& update) const;
   Result<ConflictReport> Detect(const Pattern& read,
                                 const UpdateOp& update) const;
 
-  /// Update/update commutativity certificate (§6).
+  /// Update/update commutativity certificate (§6). Ops not bound to this
+  /// engine are bound first.
   Result<IndependenceReport> CertifyCommute(const UpdateOp& a,
                                             const UpdateOp& b) const;
 
@@ -185,10 +192,9 @@ class Engine {
   };
 
   /// Lints a straight-line update program with the engine's detector
-  /// configuration. Serialized on the engine mutex; the shared store keeps
-  /// compiled automata warm across calls.
-  LintResult Lint(const Program& program, const LintRunOptions& run)
-      XMLUP_EXCLUDES(batch_mu_);
+  /// configuration. Thread-safe and not serialized: concurrent calls share
+  /// only the store, which keeps compiled automata warm across calls.
+  LintResult Lint(const Program& program, const LintRunOptions& run);
   LintResult Lint(const Program& program) {
     return Lint(program, LintRunOptions());
   }
@@ -227,7 +233,7 @@ class Engine {
   std::shared_ptr<SymbolTable> symbols_;
   std::shared_ptr<PatternStore> store_;
   std::shared_ptr<BatchConflictDetector> batch_;
-  /// Serializes DetectMatrix/DetectPairs/Lint/AnalyzeDependences over the
+  /// Serializes DetectMatrix/DetectPairs/AnalyzeDependences over the
   /// shared single-caller components. Lock-ordering rule: batch_mu_ is
   /// acquired before any lock below it (the store mutex, shard mutexes,
   /// the pool mutex) and never the other way around — no code path that

@@ -1,11 +1,11 @@
 #include "merge/merge_executor.h"
 
-#include <algorithm>
 #include <atomic>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "common/wavefront.h"
 #include "eval/evaluator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -188,22 +188,9 @@ Result<MergeReport> MergeExecutor::Merge(
   }
 
   // --- Wavefront levels (the lint partitioner's construction) ------------
-  // Forward edges in index order settle all longest paths in one sweep;
-  // ops sharing a level have no edge between them, i.e. every pair in a
+  // Ops sharing a level have no edge between them, i.e. every pair in a
   // level is certified to commute.
-  std::vector<size_t> level(n, 0);
-  for (const auto& [i, j] : edges) {
-    if (rejected[i] || rejected[j]) continue;
-    level[j] = std::max(level[j], level[i] + 1);
-  }
-  size_t num_levels = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!rejected[i]) num_levels = std::max(num_levels, level[i] + 1);
-  }
-  std::vector<std::vector<size_t>> batches(num_levels);
-  for (size_t i = 0; i < n; ++i) {
-    if (!rejected[i]) batches[level[i]].push_back(i);
-  }
+  const Wavefronts waves = ComputeWavefronts(n, edges, rejected);
 
   // --- Outcomes ----------------------------------------------------------
   // Serialized = an uncertified cross-session pair between two *executed*
@@ -222,7 +209,7 @@ Result<MergeReport> MergeExecutor::Merge(
       ++report.rejected;
       continue;
     }
-    op.level = level[i];
+    op.level = waves.level[i];
     if (serialized[i]) {
       op.outcome = MergeOutcome::kSerialized;
       ++report.serialized;
@@ -232,10 +219,8 @@ Result<MergeReport> MergeExecutor::Merge(
       ++report.accepted;
     }
   }
-  report.levels = num_levels;
-  for (const auto& batch : batches) {
-    report.width = std::max(report.width, batch.size());
-  }
+  report.levels = waves.batches.size();
+  report.width = waves.width;
 
   // --- Execute ------------------------------------------------------------
   // Split-phase per level: evaluations of the level's patterns run in
@@ -248,7 +233,7 @@ Result<MergeReport> MergeExecutor::Merge(
   {
     obs::TraceSpan execute_span("Merge.execute");
     std::vector<std::vector<NodeId>> points(n);
-    for (const auto& batch : batches) {
+    for (const auto& batch : waves.batches) {
       obs::TraceSpan level_span("Merge.level");
       ParallelFor(pool_.get(), batch.size(), [&](size_t k) {
         const Slot& slot = slots[batch[k]];

@@ -41,6 +41,12 @@ Label SymbolTable::Fresh(std::string_view prefix) {
   }
 }
 
+Label SymbolTable::Reserved(std::string_view prefix) {
+  std::string name(prefix);
+  name += '$';
+  return Intern(name);
+}
+
 size_t SymbolTable::size() const {
   MutexLock lock(mu_);
   return names_.size();

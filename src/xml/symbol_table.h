@@ -52,6 +52,13 @@ class SymbolTable {
   /// Mints a label whose name (`<prefix>$<n>`) has never been interned.
   Label Fresh(std::string_view prefix);
 
+  /// The label named `<prefix>$`, interned on first use. Fresh() never
+  /// mints that name, so it is a fixed per-table stand-in for "some label
+  /// the inputs do not use"; callers must check their inputs for it and
+  /// fall back to Fresh() when it occurs there. Unlike Fresh(), repeated
+  /// calls do not grow the table.
+  Label Reserved(std::string_view prefix);
+
   /// Number of distinct labels interned so far.
   size_t size() const;
 

@@ -130,18 +130,21 @@ TEST_F(BatchDetectorTest, CacheOnAndOffProduceIdenticalVerdicts) {
 
 TEST_F(BatchDetectorTest, CachedResultsMatchFreshSinglePairCalls) {
   // Cross-check every cell (cache hits included) against a fresh
-  // single-pair Detect() call. minimize=false so the batch engine solves
-  // the very same patterns as the fresh calls.
+  // single-pair Detect() call on a separate store. minimize=false on both
+  // so the batch engine solves the very same patterns as the fresh calls.
   const std::vector<Pattern> reads = Reads();
   const std::vector<UpdateOp> updates = Updates();
   const BatchDetectorOptions options = Options(4, true, /*minimize=*/false);
   BatchConflictDetector engine(options);
   const auto matrix = engine.DetectMatrix(reads, updates);
   ASSERT_GT(engine.stats().cache_hits, 0u);  // workload repeats patterns
+  auto fresh_store = std::make_shared<PatternStore>(
+      reads[0].symbols(), PatternStoreOptions{/*minimize=*/false});
   for (size_t i = 0; i < reads.size(); ++i) {
     for (size_t j = 0; j < updates.size(); ++j) {
       Result<ConflictReport> fresh =
-          Detect(reads[i], updates[j], options.detector);
+          Detect(*fresh_store, fresh_store->Intern(reads[i]),
+                 updates[j].Bind(fresh_store), options.detector);
       const SharedConflictResult& cell = matrix[i * updates.size() + j];
       ASSERT_TRUE(fresh.ok() && cell->ok());
       EXPECT_EQ((*cell)->verdict, fresh->verdict) << "cell " << i << "," << j;

@@ -1,10 +1,12 @@
 // The compiled-automata hot path must be invisible except for speed: the
-// ref-based Detect (compiled NFAs from PatternStore::compiled + the
-// NfaProductCache) and the value Detect on the stored pattern must agree
-// on every deterministic report field, over an exhaustive small-pattern
-// sweep, randomized programs, and under 8-way concurrency on one shared
-// store. Also covers this PR's error-path fixes: the detector accounting
-// invariant (calls == conflict + no_conflict + unknown + errors), the
+// Detect pipeline (compiled NFAs from PatternStore::compiled + the
+// NfaProductCache) is checked against the reference of detect_oracle.h —
+// the value linear detectors field by field on linear reads, the Lemma 1
+// checker and a direct bounded search on branching reads — over an
+// exhaustive small-pattern sweep and randomized programs, and must be
+// deterministic under 8-way concurrency on one shared store. Also covers
+// the detector accounting invariant (calls == conflict + no_conflict +
+// unknown + errors, including unbound and foreign-store updates), the
 // store.nfa.* / detector.product_cache.* counter contracts, and the
 // centralized root-delete guard on every entry point (factories, value
 // and compiled detectors, batch engine).
@@ -25,6 +27,8 @@
 #include "obs/metrics.h"
 #include "pattern/compiled_pattern.h"
 #include "pattern/pattern_store.h"
+#include "pattern/pattern_writer.h"
+#include "tests/detect_oracle.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
 #include "xml/tree_algos.h"
@@ -32,30 +36,11 @@
 namespace xmlup {
 namespace {
 
+using testing_util::ExpectMatchesOracle;
+using testing_util::ExpectSameReport;
 using testing_util::NewSymbols;
 using testing_util::Xml;
 using testing_util::Xp;
-
-/// Field-by-field agreement on everything deterministic across calls.
-/// Witness *trees* are excluded: their construction mints fresh labels
-/// ("mfill$n"/"uniq$n"), so trees differ textually between any two runs —
-/// both sides' witnesses are already re-verified by the Lemma 1 checkers
-/// inside the detectors, so presence is the right comparison here.
-void ExpectSameReport(const Result<ConflictReport>& by_value,
-                      const Result<ConflictReport>& by_ref,
-                      const std::string& label) {
-  ASSERT_EQ(by_value.ok(), by_ref.ok()) << label;
-  if (!by_value.ok()) {
-    EXPECT_EQ(by_value.status().code(), by_ref.status().code()) << label;
-    return;
-  }
-  EXPECT_EQ(by_value->verdict, by_ref->verdict) << label;
-  EXPECT_EQ(by_value->method, by_ref->method) << label;
-  EXPECT_EQ(by_value->trees_checked, by_ref->trees_checked) << label;
-  EXPECT_EQ(by_value->detail, by_ref->detail) << label;
-  EXPECT_EQ(by_value->witness.has_value(), by_ref->witness.has_value())
-      << label;
-}
 
 /// Every linear pattern with 1..max_nodes nodes over `labels` (a chain per
 /// shape: all axis assignments × labelings; output = the unique leaf).
@@ -111,7 +96,7 @@ std::vector<UpdateOp> BoundUpdates(
   return updates;
 }
 
-TEST(DetectHotCacheTest, ExhaustiveLinearSweepCachedEqualsUncached) {
+TEST(DetectHotCacheTest, ExhaustiveLinearSweepMatchesValueLinearDetectors) {
   auto symbols = NewSymbols();
   auto store = std::make_shared<PatternStore>(symbols);
   const std::vector<Label> labels = {symbols->Intern("a"),
@@ -127,17 +112,15 @@ TEST(DetectHotCacheTest, ExhaustiveLinearSweepCachedEqualsUncached) {
   for (size_t i = 0; i < reads.size(); ++i) {
     const PatternRef ref = store->Intern(reads[i]);
     for (size_t j = 0; j < updates.size(); ++j) {
-      Result<ConflictReport> by_value =
-          Detect(store->pattern(ref), updates[j], options);
-      Result<ConflictReport> by_ref = Detect(*store, ref, updates[j], options);
-      ExpectSameReport(by_value, by_ref,
-                       "read " + std::to_string(i) + " update " +
-                           std::to_string(j));
+      ExpectMatchesOracle(*store, ref, updates[j], options,
+                          Detect(*store, ref, updates[j], options),
+                          "read " + std::to_string(i) + " update " +
+                              std::to_string(j));
     }
   }
 }
 
-TEST(DetectHotCacheTest, RandomizedProgramsCachedEqualsUncached) {
+TEST(DetectHotCacheTest, RandomizedProgramsMatchOracle) {
   auto symbols = NewSymbols();
   auto store = std::make_shared<PatternStore>(symbols);
   Rng rng(20260807);
@@ -169,20 +152,14 @@ TEST(DetectHotCacheTest, RandomizedProgramsCachedEqualsUncached) {
       return UpdateOp::MakeInsert(store, store->Intern(update),
                                   std::make_shared<const Tree>(CopyTree(x)));
     }();
-    // Both sides run on the *stored* (minimized) read, so full field
-    // equality is expected even for branching reads — the minimization
-    // asymmetry of the facade tests does not arise here.
-    Result<ConflictReport> by_value =
-        Detect(store->pattern(read_ref), op, options);
-    Result<ConflictReport> by_ref = Detect(*store, read_ref, op, options);
-    ExpectSameReport(by_value, by_ref, "iter " + std::to_string(iter));
+    ExpectMatchesOracle(*store, read_ref, op, options,
+                        Detect(*store, read_ref, op, options),
+                        "iter " + std::to_string(iter));
   }
 }
 
 TEST(DetectHotCacheTest, ConcurrentSharedStoreDeterminism) {
   auto symbols = NewSymbols();
-  // Expected reports from the value path (no shared caches involved).
-  auto reference_store = std::make_shared<PatternStore>(symbols);
   const std::vector<const char*> read_specs = {
       "a//b",       "a/b",     "a//*/b", "b//a",    "a[b]//c",
       "a[q]/b//c",  "*//b",    "a/a/b",  "a//b//*", "c/b/a",
@@ -190,28 +167,31 @@ TEST(DetectHotCacheTest, ConcurrentSharedStoreDeterminism) {
   DetectorOptions options;
   options.search.max_nodes = 4;
 
-  // A fresh store shared by all threads: every thread races the compiled()
-  // latches and the product cache on the same refs.
-  auto shared_store = std::make_shared<PatternStore>(symbols);
-  const std::vector<UpdateOp> updates = BoundUpdates(shared_store, symbols);
-  std::vector<PatternRef> read_refs;
-  std::vector<ConflictReport> expected;  // value-path reports, in pair order
+  // Expected reports: one single-threaded pass on a reference store,
+  // each report checked against the oracle.
+  auto reference_store = std::make_shared<PatternStore>(symbols);
+  const std::vector<UpdateOp> updates =
+      BoundUpdates(reference_store, symbols);
+  std::vector<ConflictReport> expected;  // in pair order
   std::vector<Pattern> reads;
   for (const char* spec : read_specs) reads.push_back(Xp(spec, symbols));
   for (const Pattern& read : reads) {
-    const PatternRef ref = shared_store->Intern(read);
-    read_refs.push_back(ref);
+    const PatternRef ref = reference_store->Intern(read);
     for (const UpdateOp& update : updates) {
       Result<ConflictReport> r =
-          Detect(shared_store->pattern(ref), update, options);
+          Detect(*reference_store, ref, update, options);
+      ExpectMatchesOracle(*reference_store, ref, update, options, r,
+                          ToXPathString(reference_store->pattern(ref)));
       ASSERT_TRUE(r.ok());
       expected.push_back(std::move(r).value());
     }
   }
 
   for (const size_t num_threads : {size_t{1}, size_t{8}}) {
-    // A fresh shared store per thread count, so the 8-thread leg compiles
-    // every entry under contention rather than reusing the 1-thread run's.
+    // A fresh store per thread count, shared by all its threads: every
+    // thread races the compiled() latches and the product cache on the
+    // same refs, and the 8-thread leg compiles every entry under
+    // contention rather than reusing the 1-thread run's.
     auto store = std::make_shared<PatternStore>(symbols);
     const std::vector<UpdateOp> bound = BoundUpdates(store, symbols);
     std::vector<PatternRef> refs;
@@ -344,34 +324,38 @@ TEST(DetectHotCacheTest, DetectorAccountingInvariantIncludesErrors) {
   DetectorOptions options;
   options.search.max_nodes = 1;  // starve the NP path toward kUnknown
 
-  // Value path: a conflict and a no-conflict.
-  ASSERT_TRUE(Detect(Xp("a//b", symbols),
-                     UpdateOp::MakeInsert(Xp("a", symbols), content))
-                  .ok());
-  ASSERT_TRUE(Detect(Xp("x/y", symbols),
-                     UpdateOp::MakeInsert(Xp("q", symbols), content))
-                  .ok());
-  // Ref path: cached detection.
+  // A conflict and a no-conflict on linear reads.
   UpdateOp bound = UpdateOp::MakeInsert(
       store, store->Intern(Xp("a", symbols)), content);
+  const UpdateOp unrelated = UpdateOp::MakeInsert(
+      store, store->Intern(Xp("q", symbols)), content);
+  ASSERT_TRUE(Detect(*store, store->Intern(Xp("a//b", symbols)), bound).ok());
   ASSERT_TRUE(
-      Detect(*store, store->Intern(Xp("a//b", symbols)), bound, options).ok());
+      Detect(*store, store->Intern(Xp("x/y", symbols)), unrelated).ok());
   // Branching read on a starved budget (may be unknown — any verdict keeps
   // the invariant; the point is it lands in exactly one bucket).
   ASSERT_TRUE(
       Detect(*store, store->Intern(Xp("a[q][r]//b", symbols)), bound, options)
           .ok());
-  // Error path: an invalid ref is counted (one call, one error), not
-  // dropped from the books — this is the bug this PR fixes. The second
-  // call carries an unbound op: the invalid-ref check fires before the
-  // unbound-op fallback, so it too lands in detector.errors.
+  // Error paths are counted (one call, one error), not dropped from the
+  // books: an invalid ref (checked before the update, so an unbound op
+  // beside it is one error, not two), an unbound update, and an update
+  // bound to another store.
   Result<ConflictReport> invalid = Detect(*store, PatternRef(), bound);
   ASSERT_FALSE(invalid.ok());
   EXPECT_EQ(invalid.status().code(), StatusCode::kInvalidArgument);
-  Result<ConflictReport> invalid2 =
-      Detect(*store, PatternRef(), UpdateOp::MakeInsert(Xp("a", symbols),
-                                                        content));
+  const UpdateOp unbound = UpdateOp::MakeInsert(Xp("a", symbols), content);
+  Result<ConflictReport> invalid2 = Detect(*store, PatternRef(), unbound);
   ASSERT_FALSE(invalid2.ok());
+  const PatternRef read = store->Intern(Xp("a//b", symbols));
+  Result<ConflictReport> not_bound = Detect(*store, read, unbound);
+  ASSERT_FALSE(not_bound.ok());
+  EXPECT_EQ(not_bound.status().code(), StatusCode::kInvalidArgument);
+  auto other_store = std::make_shared<PatternStore>(symbols);
+  Result<ConflictReport> foreign =
+      Detect(*store, read, unbound.Bind(other_store));
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_EQ(foreign.status().code(), StatusCode::kInvalidArgument);
 
   const uint64_t calls = counter("detector.calls") - calls0;
   const uint64_t outcomes = (counter("detector.verdict.conflict") - conflict0) +
@@ -380,8 +364,8 @@ TEST(DetectHotCacheTest, DetectorAccountingInvariantIncludesErrors) {
                             (counter("detector.verdict.unknown") - unknown0) +
                             (counter("detector.errors") - errors0);
   EXPECT_EQ(calls, outcomes);
-  EXPECT_EQ(counter("detector.errors") - errors0, 2u);
-  EXPECT_EQ(calls, 6u);
+  EXPECT_EQ(counter("detector.errors") - errors0, 4u);
+  EXPECT_EQ(calls, 7u);
 }
 
 TEST(DetectHotCacheTest, RootDeleteGuardIsCentralized) {
@@ -390,7 +374,6 @@ TEST(DetectHotCacheTest, RootDeleteGuardIsCentralized) {
   const Pattern root_only = Xp("a", symbols);       // O(p) == ROOT(p)
   const Pattern read = Xp("a//b", symbols);
   const PatternRef root_ref = store->Intern(root_only);
-  const PatternRef read_ref = store->Intern(read);
 
   // The shared validator itself.
   EXPECT_FALSE(ValidateDeletePattern(root_only).ok());
@@ -400,15 +383,11 @@ TEST(DetectHotCacheTest, RootDeleteGuardIsCentralized) {
   EXPECT_FALSE(UpdateOp::MakeDelete(root_only).ok());
   EXPECT_FALSE(UpdateOp::MakeDelete(store, root_ref).ok());
 
-  // Direct calls into the linear detectors — the batch/lint bypass route.
+  // The value linear detector.
   Result<ConflictReport> by_value =
       DetectLinearReadDeleteConflict(read, root_only);
   ASSERT_FALSE(by_value.ok());
   EXPECT_EQ(by_value.status().code(), StatusCode::kInvalidArgument);
-  Result<ConflictReport> by_ref =
-      DetectLinearReadDeleteConflict(*store, read_ref, root_ref);
-  ASSERT_FALSE(by_ref.ok());
-  EXPECT_EQ(by_ref.status().code(), StatusCode::kInvalidArgument);
 
   // The compiled core (what the batch engine's rewired SolvePair runs).
   const CompiledPattern read_compiled(read);
@@ -419,11 +398,11 @@ TEST(DetectHotCacheTest, RootDeleteGuardIsCentralized) {
   EXPECT_EQ(compiled_core.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(DetectHotCacheTest, BatchEngineMatchesValueDetect) {
+TEST(DetectHotCacheTest, BatchEngineMatchesSinglePairDetect) {
   auto symbols = NewSymbols();
-  // The batch engine now routes SolvePair through the ref facade and the
-  // compiled caches; cell-by-cell its verdicts must still equal the plain
-  // value Detect on the canonicalized pair.
+  // The batch engine routes SolvePair through the Detect pipeline and the
+  // compiled caches; cell by cell its reports must equal a single-pair
+  // Detect on the canonicalized pair, itself checked against the oracle.
   BatchDetectorOptions batch_options;
   batch_options.num_threads = 4;
   BatchConflictDetector engine(batch_options);
@@ -451,10 +430,12 @@ TEST(DetectHotCacheTest, BatchEngineMatchesValueDetect) {
   for (size_t i = 0; i < reads.size(); ++i) {
     for (size_t j = 0; j < updates.size(); ++j) {
       const PatternRef read_ref = store->Intern(reads[i]);
-      Result<ConflictReport> expected =
-          Detect(store->pattern(read_ref), updates[j].Bind(store));
-      ExpectSameReport(expected, *cells[i * updates.size() + j],
-                       "cell " + std::to_string(i) + "," + std::to_string(j));
+      const UpdateOp bound = updates[j].Bind(store);
+      const std::string label =
+          "cell " + std::to_string(i) + "," + std::to_string(j);
+      Result<ConflictReport> expected = Detect(*store, read_ref, bound);
+      ExpectMatchesOracle(*store, read_ref, bound, {}, expected, label);
+      ExpectSameReport(expected, *cells[i * updates.size() + j], label);
     }
   }
 }

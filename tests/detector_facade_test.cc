@@ -1,12 +1,11 @@
-// The Detect() facade's two entry points must agree: the ref overload
-// (interned PatternRef resolved through a PatternStore) and the value
-// overload must produce the same report on every field that is
-// deterministic across calls (verdict, method, trees_checked, detail —
-// witnesses may differ only in fresh-label ids). Since the store hands the
-// detector the *minimized* read, this doubles as an end-to-end check that
-// minimization is conflict-preserving. Also covers metric side effects: a
-// Detect call bumps the dispatch and verdict counters in the default
-// registry.
+// The Detect() pipeline against the reference of detect_oracle.h, on
+// hand-picked inserts and deletes and a randomized sweep. The store hands
+// the pipeline the *minimized* read, so this doubles as an end-to-end check
+// that minimization is conflict-preserving: linear reads are minimization
+// fixpoints and must match the value linear detectors on the original
+// pattern, and branching reads must meet the oracle on the stored form.
+// Also covers metric side effects: a Detect call bumps the dispatch and
+// verdict counters in the default registry.
 
 #include <memory>
 #include <string>
@@ -17,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "pattern/pattern_store.h"
+#include "tests/detect_oracle.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
 #include "xml/tree_algos.h"
@@ -24,27 +24,12 @@
 namespace xmlup {
 namespace {
 
+using testing_util::ExpectMatchesOracle;
 using testing_util::NewSymbols;
 using testing_util::Xml;
 using testing_util::Xp;
 
-void ExpectSameReport(const Result<ConflictReport>& by_value,
-                      const Result<ConflictReport>& by_ref,
-                      const std::string& label) {
-  ASSERT_EQ(by_value.ok(), by_ref.ok()) << label;
-  if (!by_value.ok()) {
-    EXPECT_EQ(by_value.status().code(), by_ref.status().code()) << label;
-    return;
-  }
-  EXPECT_EQ(by_value->verdict, by_ref->verdict) << label;
-  EXPECT_EQ(by_value->method, by_ref->method) << label;
-  EXPECT_EQ(by_value->trees_checked, by_ref->trees_checked) << label;
-  EXPECT_EQ(by_value->detail, by_ref->detail) << label;
-  EXPECT_EQ(by_value->witness.has_value(), by_ref->witness.has_value())
-      << label;
-}
-
-TEST(DetectorFacadeTest, RefOverloadMatchesValueOverloadForInserts) {
+TEST(DetectorFacadeTest, InsertsMatchOracle) {
   auto symbols = NewSymbols();
   auto store = std::make_shared<PatternStore>(symbols);
   const Tree x = Xml("<C/>", symbols);
@@ -57,17 +42,16 @@ TEST(DetectorFacadeTest, RefOverloadMatchesValueOverloadForInserts) {
     const Pattern read = Xp(c.read, symbols);
     const Pattern ins = Xp(c.insert, symbols);
     auto content = std::make_shared<const Tree>(CopyTree(x));
-    Result<ConflictReport> by_value =
-        Detect(read, UpdateOp::MakeInsert(ins, content));
-    Result<ConflictReport> by_ref =
-        Detect(*store, store->Intern(read),
-               UpdateOp::MakeInsert(store, store->Intern(ins), content));
-    ExpectSameReport(by_value, by_ref,
-                     std::string(c.read) + " vs insert " + c.insert);
+    const PatternRef read_ref = store->Intern(read);
+    const UpdateOp op =
+        UpdateOp::MakeInsert(store, store->Intern(ins), content);
+    ExpectMatchesOracle(*store, read_ref, op, {},
+                        Detect(*store, read_ref, op),
+                        std::string(c.read) + " vs insert " + c.insert);
   }
 }
 
-TEST(DetectorFacadeTest, RefOverloadMatchesValueOverloadForDeletes) {
+TEST(DetectorFacadeTest, DeletesMatchOracle) {
   auto symbols = NewSymbols();
   auto store = std::make_shared<PatternStore>(symbols);
   struct Case {
@@ -86,15 +70,14 @@ TEST(DetectorFacadeTest, RefOverloadMatchesValueOverloadForDeletes) {
     // root).
     ASSERT_EQ(by_value_op.ok(), by_ref_op.ok()) << c.del;
     if (!by_value_op.ok()) continue;
-    Result<ConflictReport> by_value = Detect(read, *by_value_op);
-    Result<ConflictReport> by_ref =
-        Detect(*store, store->Intern(read), *by_ref_op);
-    ExpectSameReport(by_value, by_ref,
-                     std::string(c.read) + " vs delete " + c.del);
+    const PatternRef read_ref = store->Intern(read);
+    ExpectMatchesOracle(*store, read_ref, *by_ref_op, {},
+                        Detect(*store, read_ref, *by_ref_op),
+                        std::string(c.read) + " vs delete " + c.del);
   }
 }
 
-TEST(DetectorFacadeTest, RandomizedSweepAgrees) {
+TEST(DetectorFacadeTest, RandomizedSweepMatchesOracle) {
   auto symbols = NewSymbols();
   auto store = std::make_shared<PatternStore>(symbols);
   Rng rng(424242);
@@ -115,25 +98,19 @@ TEST(DetectorFacadeTest, RandomizedSweepAgrees) {
     Tree x(symbols);
     x.CreateRoot(options.alphabet[rng.NextBounded(3)]);
     auto content = std::make_shared<const Tree>(CopyTree(x));
-    UpdateOp op = UpdateOp::MakeInsert(update, content);
-    Result<ConflictReport> by_value = Detect(read, op, detector_options);
-    Result<ConflictReport> by_ref = Detect(*store, store->Intern(read),
-                                           op.Bind(store), detector_options);
+    const UpdateOp op = UpdateOp::MakeInsert(update, content).Bind(store);
+    const PatternRef read_ref = store->Intern(read);
+    const std::string label = "iter " + std::to_string(iter);
+    const Result<ConflictReport> got =
+        Detect(*store, read_ref, op, detector_options);
+    ExpectMatchesOracle(*store, read_ref, op, detector_options, got, label);
     if (linear_read) {
       // Linear patterns are fixpoints of minimization (their only leaf is
-      // the output), so the two paths run the identical algorithm.
-      ExpectSameReport(by_value, by_ref, "iter " + std::to_string(iter));
-      continue;
-    }
-    // Branching reads may *shrink* under minimization — e.g. to a linear
-    // pattern, upgrading the ref path from the budgeted bounded search to
-    // the complete PTIME algorithm. The ref verdict may therefore be
-    // strictly more precise, but definitive verdicts must never disagree.
-    ASSERT_EQ(by_value.ok(), by_ref.ok()) << "iter " << iter;
-    if (!by_value.ok()) continue;
-    if (by_value->verdict != ConflictVerdict::kUnknown &&
-        by_ref->verdict != ConflictVerdict::kUnknown) {
-      EXPECT_EQ(by_value->verdict, by_ref->verdict) << "iter " << iter;
+      // the output), so the original read gives the identical report.
+      testing_util::ExpectSameReport(
+          testing_util::ValueLinearDetect(read, op, detector_options,
+                                          detector_options.build_witness),
+          got, label);
     }
   }
 }
@@ -167,10 +144,12 @@ TEST(DetectorFacadeTest, DetectReportsVerdictAndMethodCounters) {
   const uint64_t latency_before =
       reg.GetHistogram("detector.latency_us").count();
 
+  auto store = std::make_shared<PatternStore>(symbols);
   Result<ConflictReport> r = Detect(
-      Xp("x//C", symbols),
+      *store, store->Intern(Xp("x//C", symbols)),
       UpdateOp::MakeInsert(Xp("x/B", symbols),
-                           std::make_shared<const Tree>(Xml("<C/>", symbols))));
+                           std::make_shared<const Tree>(Xml("<C/>", symbols)))
+          .Bind(store));
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->verdict, ConflictVerdict::kConflict);
 

@@ -13,15 +13,17 @@ using testing_util::NewSymbols;
 using testing_util::Xml;
 using testing_util::Xp;
 
-/// Facade helpers: build the UpdateOp inline so each test reads like the
-/// old two-entry-point API.
+/// Helpers: intern both patterns into a fresh test-local store and build
+/// the bound UpdateOp inline, so each test reads like a two-entry-point
+/// API.
 Result<ConflictReport> DetectInsert(const Pattern& read,
                                     const Pattern& insert_pattern,
                                     const Tree& inserted,
                                     const DetectorOptions& options = {}) {
-  return Detect(read,
+  auto store = std::make_shared<PatternStore>(read.symbols());
+  return Detect(*store, store->Intern(read),
                 UpdateOp::MakeInsert(
-                    insert_pattern,
+                    store, store->Intern(insert_pattern),
                     std::make_shared<const Tree>(CopyTree(inserted))),
                 options);
 }
@@ -29,8 +31,11 @@ Result<ConflictReport> DetectInsert(const Pattern& read,
 Result<ConflictReport> DetectDelete(const Pattern& read,
                                     const Pattern& delete_pattern,
                                     const DetectorOptions& options = {}) {
-  XMLUP_ASSIGN_OR_RETURN(UpdateOp update, UpdateOp::MakeDelete(delete_pattern));
-  return Detect(read, update, options);
+  auto store = std::make_shared<PatternStore>(read.symbols());
+  XMLUP_ASSIGN_OR_RETURN(
+      UpdateOp update,
+      UpdateOp::MakeDelete(store, store->Intern(delete_pattern)));
+  return Detect(*store, store->Intern(read), update, options);
 }
 
 class DetectorTest : public ::testing::Test {

@@ -6,6 +6,7 @@
 
 #include "common/thread_pool.h"
 #include "conflict/detector.h"
+#include "conflict/witness_check.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -44,7 +45,8 @@ TEST_F(EngineTest, DetectMatchesFreeDetectorOnBothOverloads) {
   const Pattern read = P("a/b");
   const UpdateOp update = *UpdateOp::MakeDelete(P("a/b"));
 
-  Result<ConflictReport> via_free = Detect(read, update);
+  Result<ConflictReport> via_free = Detect(
+      *engine_.store(), engine_.Intern(read), engine_.Bind(update));
   Result<ConflictReport> via_pattern = engine_.Detect(read, update);
   Result<ConflictReport> via_ref =
       engine_.Detect(engine_.Intern(read), engine_.Bind(update));
@@ -59,6 +61,36 @@ TEST_F(EngineTest, DetectMatchesFreeDetectorOnBothOverloads) {
   const UpdateOp other = *UpdateOp::MakeDelete(P("c/d"));
   EXPECT_EQ(engine_.Detect(engine_.Intern(read), engine_.Bind(other))->verdict,
             ConflictVerdict::kNoConflict);
+}
+
+TEST_F(EngineTest, DetectBindsUnboundAndForeignOps) {
+  // The free Detect rejects ops not bound to its store; Engine::Detect
+  // binds them first, so unbound, foreign-store and pre-bound ops give the
+  // same report.
+  Engine other_engine(engine_.symbols());
+  const std::vector<const char*> reads = {"a/b", "a//c", "a[q]//b"};
+  std::vector<UpdateOp> updates = {
+      UpdateOp::MakeInsert(P("a"), Content("<b/>")),
+      UpdateOp::MakeInsert(P("a/b"), Content("<c/>")),
+      *UpdateOp::MakeDelete(P("a/b")), *UpdateOp::MakeDelete(P("x/y"))};
+  for (const char* spec : reads) {
+    const PatternRef read = engine_.Intern(P(spec));
+    for (const UpdateOp& update : updates) {
+      Result<ConflictReport> bound = engine_.Detect(read, engine_.Bind(update));
+      Result<ConflictReport> unbound = engine_.Detect(read, update);
+      Result<ConflictReport> foreign =
+          engine_.Detect(read, other_engine.Bind(update));
+      ASSERT_TRUE(bound.ok() && unbound.ok() && foreign.ok()) << spec;
+      for (const Result<ConflictReport>* r : {&unbound, &foreign}) {
+        EXPECT_EQ((*r)->verdict, bound->verdict) << spec;
+        EXPECT_EQ((*r)->method, bound->method) << spec;
+        EXPECT_EQ((*r)->detail, bound->detail) << spec;
+        EXPECT_EQ((*r)->trees_checked, bound->trees_checked) << spec;
+      }
+      EXPECT_EQ(Detect(*engine_.store(), read, update).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST_F(EngineTest, DetectMatrixMatchesSingletonDetects) {
@@ -84,10 +116,33 @@ TEST_F(EngineTest, CertifyCommuteAgreesWithFreeFunction) {
   const UpdateOp a = UpdateOp::MakeInsert(P("a"), Content("<x/>"));
   const UpdateOp b = *UpdateOp::MakeDelete(P("b/c"));
   Result<IndependenceReport> via_engine = engine_.CertifyCommute(a, b);
-  Result<IndependenceReport> via_free = CertifyUpdatesCommute(a, b);
+  Result<IndependenceReport> via_free =
+      CertifyUpdatesCommute(engine_.Bind(a), engine_.Bind(b));
   ASSERT_TRUE(via_engine.ok());
   ASSERT_TRUE(via_free.ok());
   EXPECT_EQ(via_engine->certificate, via_free->certificate);
+}
+
+TEST_F(EngineTest, CertifyCommuteBindsUnboundOps) {
+  const std::vector<UpdateOp> ops = {
+      UpdateOp::MakeInsert(P("a"), Content("<x/>")),
+      UpdateOp::MakeInsert(P("a/b"), Content("<c/>")),
+      *UpdateOp::MakeDelete(P("b/c")), *UpdateOp::MakeDelete(P("a/x")),
+      *UpdateOp::MakeDelete(P("a[q]/b"))};
+  for (size_t i = 0; i < ops.size(); ++i) {
+    for (size_t j = 0; j < ops.size(); ++j) {
+      Result<IndependenceReport> unbound =
+          engine_.CertifyCommute(ops[i], ops[j]);
+      Result<IndependenceReport> bound =
+          engine_.CertifyCommute(engine_.Bind(ops[i]), engine_.Bind(ops[j]));
+      Result<IndependenceReport> mixed =
+          engine_.CertifyCommute(engine_.Bind(ops[i]), ops[j]);
+      ASSERT_TRUE(unbound.ok() && bound.ok() && mixed.ok()) << i << "," << j;
+      EXPECT_EQ(unbound->certificate, bound->certificate) << i << "," << j;
+      EXPECT_EQ(unbound->detail, bound->detail) << i << "," << j;
+      EXPECT_EQ(mixed->certificate, bound->certificate) << i << "," << j;
+    }
+  }
 }
 
 TEST_F(EngineTest, SessionsShareTheEngineStore) {
@@ -178,6 +233,88 @@ TEST_F(EngineTest, ConcurrentDetectCallsAreSafe) {
   }
   for (std::thread& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(conflicts[t], kOpsPerThread);
+}
+
+TEST_F(EngineTest, ConcurrentLintCallsMatchSerialLint) {
+  // Lint is not serialized: each call builds its own Linter over the
+  // shared store. Concurrent calls must still report exactly what a lone
+  // call does.
+  Program program;
+  program.AddRead("r0", "x", P("a/b"));
+  program.AddInsert("x", P("a"), Content("<b/>"));
+  program.AddRead("r1", "x", P("a//c"));
+  program.AddDelete("x", P("a/d"));
+  program.AddRead("r2", "x", P("a/b"));
+  program.AddDelete("x", P("a/b/e"));
+  const LintResult serial = engine_.Lint(program);
+  ASSERT_FALSE(serial.diagnostics.empty());
+
+  constexpr int kThreads = 4;
+  constexpr int kLintsPerThread = 10;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kLintsPerThread; ++i) {
+        const LintResult got = engine_.Lint(program);
+        bool same = got.diagnostics.size() == serial.diagnostics.size() &&
+                    got.partition.batches == serial.partition.batches;
+        for (size_t d = 0; same && d < got.diagnostics.size(); ++d) {
+          same = got.diagnostics[d].rule == serial.diagnostics[d].rule &&
+                 got.diagnostics[d].statements ==
+                     serial.diagnostics[d].statements &&
+                 got.diagnostics[d].message == serial.diagnostics[d].message;
+        }
+        if (!same) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+}
+
+TEST_F(EngineTest, RepeatedWitnessesDoNotGrowTheSymbolTable) {
+  // Witness fillers come from the table's reserved labels, so building the
+  // same kind of witness again adds no symbols.
+  const PatternRef read = engine_.Intern(P("a//c"));
+  const UpdateOp del = engine_.Bind(*UpdateOp::MakeDelete(P("a/d")));
+  const UpdateOp ins =
+      engine_.Bind(UpdateOp::MakeInsert(P("a/*"), Content("<c/>")));
+  for (const UpdateOp* op : {&del, &ins}) {
+    Result<ConflictReport> first = engine_.Detect(read, *op);
+    ASSERT_TRUE(first.ok());
+    ASSERT_EQ(first->verdict, ConflictVerdict::kConflict);
+    ASSERT_TRUE(first->witness.has_value());
+  }
+  const size_t symbols = engine_.symbols()->size();
+  for (int i = 0; i < 100; ++i) {
+    for (const UpdateOp* op : {&del, &ins}) {
+      Result<ConflictReport> again = engine_.Detect(read, *op);
+      ASSERT_TRUE(again.ok());
+      EXPECT_TRUE(again->witness.has_value());
+    }
+  }
+  EXPECT_EQ(engine_.symbols()->size(), symbols);
+}
+
+TEST_F(EngineTest, WitnessAvoidsAReservedLabelTheContentUses) {
+  // Content carrying the reserved filler label (copied out of an earlier
+  // witness, say) forces a fresh filler; the witness still verifies.
+  const Pattern read = P("a//c");
+  const Pattern where = P("a/*");
+  auto content = std::make_shared<Tree>(engine_.symbols());
+  const NodeId root =
+      content->CreateRoot(engine_.symbols()->Reserved("wfill"));
+  content->AddChild(root, engine_.symbols()->Intern("c"));
+  const UpdateOp ins = engine_.Bind(UpdateOp::MakeInsert(where, content));
+  const size_t symbols = engine_.symbols()->size();
+  Result<ConflictReport> report = engine_.Detect(read, ins);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->verdict, ConflictVerdict::kConflict);
+  ASSERT_TRUE(report->witness.has_value());
+  EXPECT_TRUE(IsReadInsertWitness(read, where, *content, *report->witness,
+                                  engine_.detector_options().semantics));
+  EXPECT_GT(engine_.symbols()->size(), symbols);  // the fresh fallback
 }
 
 TEST_F(EngineTest, BatchStatsAndMetricsAreReachable) {

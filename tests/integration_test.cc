@@ -4,7 +4,7 @@
 #include "analysis/interpreter.h"
 #include "analysis/optimizer.h"
 #include "common/random.h"
-#include "conflict/detector.h"
+#include "engine/engine.h"
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "ops/operations.h"
@@ -99,6 +99,7 @@ TEST(IntegrationTest, DetectorMatchesExecutionOnCatalogWorkload) {
   CatalogOptions options;
   options.num_books = 40;
   Tree catalog = GenerateCatalog(symbols, options, &rng);
+  const Engine engine(symbols);
 
   const char* reads[] = {"catalog//title", "catalog/book",
                          "catalog//restock", "catalog//low",
@@ -114,7 +115,7 @@ TEST(IntegrationTest, DetectorMatchesExecutionOnCatalogWorkload) {
         const Pattern ins = Xp(insert_xpath, symbols);
         auto x = std::make_shared<const Tree>(Xml(content_xml, symbols));
         Result<ConflictReport> report =
-            Detect(read, UpdateOp::MakeInsert(ins, x));
+            engine.Detect(read, UpdateOp::MakeInsert(ins, x));
         ASSERT_TRUE(report.ok());
         if (report->verdict != ConflictVerdict::kNoConflict) continue;
         // Execute on the concrete catalog: results must be identical.

@@ -15,6 +15,8 @@ using testing_util::Xp;
 class UpdateIndependenceTest : public ::testing::Test {
  protected:
   std::shared_ptr<SymbolTable> symbols_ = NewSymbols();
+  std::shared_ptr<PatternStore> store_ =
+      std::make_shared<PatternStore>(symbols_);
 
   UpdateOp Ins(const char* pattern, const char* x) {
     return UpdateOp::MakeInsert(
@@ -28,7 +30,8 @@ class UpdateIndependenceTest : public ::testing::Test {
   }
 
   CommutativityCertificate Certify(const UpdateOp& a, const UpdateOp& b) {
-    Result<IndependenceReport> r = CertifyUpdatesCommute(a, b);
+    Result<IndependenceReport> r =
+        CertifyUpdatesCommute(a.Bind(store_), b.Bind(store_));
     EXPECT_TRUE(r.ok()) << r.status();
     return r->certificate;
   }
@@ -79,10 +82,23 @@ TEST_F(UpdateIndependenceTest, SiblingDeletesCertified) {
 }
 
 TEST_F(UpdateIndependenceTest, DetailIsPopulated) {
-  Result<IndependenceReport> r =
-      CertifyUpdatesCommute(Ins("a", "<b/>"), Ins("a/b", "<c/>"));
+  Result<IndependenceReport> r = CertifyUpdatesCommute(
+      Ins("a", "<b/>").Bind(store_), Ins("a/b", "<c/>").Bind(store_));
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->detail.empty());
+}
+
+TEST_F(UpdateIndependenceTest, OpsMustShareOneStore) {
+  const UpdateOp a = Ins("a/x", "<m/>");
+  const UpdateOp b = Del("a/y");
+  auto other = std::make_shared<PatternStore>(symbols_);
+  EXPECT_EQ(CertifyUpdatesCommute(a, b).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CertifyUpdatesCommute(a.Bind(store_), b).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      CertifyUpdatesCommute(a.Bind(store_), b.Bind(other)).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 /// Soundness sweep: every certified pair must survive an exhaustive
@@ -91,6 +107,7 @@ class CertificatePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CertificatePropertyTest, CertifiedPairsNeverViolate) {
   auto symbols = NewSymbols();
+  auto store = std::make_shared<PatternStore>(symbols);
   Rng rng(40000 + GetParam());
   PatternGenOptions options;
   options.size = 3;
@@ -116,7 +133,8 @@ TEST_P(CertificatePropertyTest, CertifiedPairsNeverViolate) {
   for (int iter = 0; iter < 12; ++iter) {
     const UpdateOp o1 = random_update(&rng);
     const UpdateOp o2 = random_update(&rng);
-    Result<IndependenceReport> cert = CertifyUpdatesCommute(o1, o2);
+    Result<IndependenceReport> cert =
+        CertifyUpdatesCommute(o1.Bind(store), o2.Bind(store));
     ASSERT_TRUE(cert.ok());
     if (cert->certificate != CommutativityCertificate::kCertified) continue;
     ++certified;

@@ -21,22 +21,35 @@ TEST_F(WitnessBuildTest, MatchWordToPathResolvesClasses) {
                           LabelClass::Any(),
                           LabelClass::Of(symbols_->Intern("b"))};
   NodeId deepest = kNullNode;
-  Tree path = MatchWordToPath(word, symbols_, &deepest);
+  const Label filler = symbols_->Reserved("wfill");
+  Tree path = MatchWordToPath(word, symbols_, filler, &deepest);
   ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(path.LabelName(path.root()), "a");
   EXPECT_EQ(path.LabelName(deepest), "b");
-  // The Any position resolved to a fresh symbol, not to a or b.
+  // The Any position resolved to the filler, not to a or b.
   const NodeId middle = path.first_child(path.root());
-  EXPECT_NE(path.LabelName(middle), "a");
-  EXPECT_NE(path.LabelName(middle), "b");
+  EXPECT_EQ(path.label(middle), filler);
   EXPECT_EQ(path.first_child(deepest), kNullNode);
 }
 
-TEST_F(WitnessBuildTest, FreshFillersDifferAcrossCalls) {
-  const ClassWord word = {LabelClass::Any()};
-  Tree p1 = MatchWordToPath(word, symbols_, nullptr);
-  Tree p2 = MatchWordToPath(word, symbols_, nullptr);
-  EXPECT_NE(p1.LabelName(p1.root()), p2.LabelName(p2.root()));
+TEST_F(WitnessBuildTest, UnusedLabelIsReservedUnlessAnInputUsesIt) {
+  const Pattern read = Xp("a//b", symbols_);
+  const Pattern update = Xp("a/*", symbols_);
+  const Label reserved = symbols_->Reserved("wfill");
+  const size_t before = symbols_->size();
+  // Repeated witnesses share the reserved label: the table does not grow.
+  EXPECT_EQ(UnusedLabel("wfill", read, update, nullptr), reserved);
+  EXPECT_EQ(UnusedLabel("wfill", read, update, nullptr), reserved);
+  EXPECT_EQ(symbols_->size(), before);
+  // Content that carries the reserved label gets a fresh one instead.
+  Tree content(symbols_);
+  content.CreateRoot(reserved);
+  const Label fallback = UnusedLabel("wfill", read, update, &content);
+  EXPECT_NE(fallback, reserved);
+  EXPECT_NE(fallback, symbols_->Intern("a"));
+  EXPECT_NE(fallback, symbols_->Intern("b"));
+  // Distinct prefixes reserve distinct labels.
+  EXPECT_NE(UnusedLabel("mfill", read, update, nullptr), reserved);
 }
 
 TEST_F(WitnessBuildTest, BranchModelsMakeFullPatternEmbed) {
