@@ -74,19 +74,35 @@ Nfa Nfa::FromRegex(const Regex& regex) {
   return nfa;
 }
 
+Nfa::Csr Nfa::Csr::Group(
+    size_t num_rows,
+    const std::vector<std::pair<uint32_t, uint32_t>>& entries) {
+  Csr csr;
+  csr.offsets.assign(num_rows + 1, 0);
+  for (const auto& [row, value] : entries) ++csr.offsets[row + 1];
+  for (size_t s = 0; s < num_rows; ++s) csr.offsets[s + 1] += csr.offsets[s];
+  csr.data.resize(entries.size());
+  std::vector<uint32_t> next(csr.offsets.begin(), csr.offsets.end() - 1);
+  for (const auto& [row, value] : entries) csr.data[next[row]++] = value;
+  return csr;
+}
+
 void Nfa::BuildIndex() {
-  by_state_.assign(num_states_, {});
-  epsilon_by_state_.assign(num_states_, {});
+  std::vector<std::pair<uint32_t, uint32_t>> entries;
   for (uint32_t i = 0; i < transitions_.size(); ++i) {
-    by_state_[transitions_[i].from].push_back(i);
+    entries.emplace_back(transitions_[i].from, i);
   }
+  by_state_ = Csr::Group(num_states_, entries);
+  entries.clear();
   for (const EpsilonTransition& e : epsilon_transitions_) {
-    epsilon_by_state_[e.from].push_back(e.to);
+    entries.emplace_back(e.from, e.to);
   }
-  closure_by_state_.resize(num_states_);
+  epsilon_by_state_ = Csr::Group(num_states_, entries);
+  entries.clear();
   for (StateId s = 0; s < num_states_; ++s) {
-    closure_by_state_[s] = EpsilonClosure({s});
+    for (StateId t : EpsilonClosure({s})) entries.emplace_back(s, t);
   }
+  closure_by_state_ = Csr::Group(num_states_, entries);
 }
 
 std::vector<StateId> Nfa::EpsilonClosure(std::vector<StateId> states) const {
@@ -96,7 +112,7 @@ std::vector<StateId> Nfa::EpsilonClosure(std::vector<StateId> states) const {
   while (!stack.empty()) {
     const StateId s = stack.back();
     stack.pop_back();
-    for (StateId t : epsilon_by_state_[s]) {
+    for (StateId t : EpsilonFrom(s)) {
       if (!seen[t]) {
         seen[t] = true;
         states.push_back(t);

@@ -2,6 +2,8 @@
 #define XMLUP_AUTOMATA_NFA_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "automata/regex.h"
@@ -37,13 +39,13 @@ class Nfa {
     return epsilon_transitions_;
   }
 
-  /// Symbol transitions leaving `s` (indexed adjacency).
-  const std::vector<uint32_t>& TransitionsFrom(StateId s) const {
-    return by_state_[s];
+  /// Symbol transitions leaving `s` (indices into transitions()).
+  std::span<const uint32_t> TransitionsFrom(StateId s) const {
+    return by_state_.Row(s);
   }
   /// Epsilon targets from `s`.
-  const std::vector<StateId>& EpsilonFrom(StateId s) const {
-    return epsilon_by_state_[s];
+  std::span<const StateId> EpsilonFrom(StateId s) const {
+    return epsilon_by_state_.Row(s);
   }
 
   /// Epsilon closure of a state set (sorted, deduplicated).
@@ -53,11 +55,39 @@ class Nfa {
   /// deduplicated, includes `s`). Same contents as EpsilonClosure({s}),
   /// built once at construction — the product search calls this per
   /// enqueued pair, so it must not allocate.
-  const std::vector<StateId>& ClosureFrom(StateId s) const {
-    return closure_by_state_[s];
+  std::span<const StateId> ClosureFrom(StateId s) const {
+    return closure_by_state_.Row(s);
+  }
+
+  /// Heap bytes of the three per-state indexes above.
+  size_t IndexBytes() const {
+    return by_state_.Bytes() + epsilon_by_state_.Bytes() +
+           closure_by_state_.Bytes();
   }
 
  private:
+  /// Compressed-sparse-row adjacency: row s is
+  /// data[offsets[s], offsets[s + 1]). Two flat arrays per index instead
+  /// of one heap block per state keeps every compiled pattern small while
+  /// a long-lived store holds thousands of them.
+  struct Csr {
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> data;
+
+    /// Rows 0..num_rows-1 from (row, value) entries; each row keeps its
+    /// values in entry order.
+    static Csr Group(size_t num_rows,
+                     const std::vector<std::pair<uint32_t, uint32_t>>& entries);
+
+    std::span<const uint32_t> Row(uint32_t s) const {
+      return std::span<const uint32_t>(data).subspan(
+          offsets[s], offsets[s + 1] - offsets[s]);
+    }
+    size_t Bytes() const {
+      return (offsets.capacity() + data.capacity()) * sizeof(uint32_t);
+    }
+  };
+
   Nfa() = default;
 
   void BuildIndex();
@@ -67,9 +97,9 @@ class Nfa {
   StateId accept_ = 0;
   std::vector<Transition> transitions_;
   std::vector<EpsilonTransition> epsilon_transitions_;
-  std::vector<std::vector<uint32_t>> by_state_;
-  std::vector<std::vector<StateId>> epsilon_by_state_;
-  std::vector<std::vector<StateId>> closure_by_state_;
+  Csr by_state_;
+  Csr epsilon_by_state_;
+  Csr closure_by_state_;
 };
 
 }  // namespace xmlup

@@ -1,107 +1,28 @@
 #include "conflict/bounded_search.h"
 
 #include <algorithm>
-#include <set>
+#include <string>
 
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "pattern/pattern_ops.h"
-#include "xml/tree_algos.h"
 
 namespace xmlup {
-
-TreeEnumerator::TreeEnumerator(std::shared_ptr<SymbolTable> symbols,
-                               std::vector<Label> alphabet, size_t max_nodes,
-                               uint64_t max_shapes)
-    : symbols_(std::move(symbols)),
-      alphabet_(std::move(alphabet)),
-      max_shapes_(max_shapes) {
-  XMLUP_CHECK(!alphabet_.empty());
-  Build(max_nodes);
-}
-
-void TreeEnumerator::Build(size_t max_nodes) {
-  for (uint32_t size = 1; size <= max_nodes && !truncated_; ++size) {
-    // Only shapes strictly smaller than `size` exist at this point; all of
-    // them are candidates for children.
-    const uint32_t max_id = static_cast<uint32_t>(shapes_.size());
-    for (Label label : alphabet_) {
-      if (truncated_) break;
-      std::vector<uint32_t> children;
-      EmitWithChildren(label, size - 1, max_id, &children, size);
-    }
-  }
-}
-
-/// Emits every shape with the given root label and a canonical multiset of
-/// children whose sizes sum to `size_budget`, drawn from shape ids
-/// < max_id, in non-increasing id order.
-void TreeEnumerator::EmitWithChildren(Label label, uint32_t size_budget,
-                                      uint32_t max_id,
-                                      std::vector<uint32_t>* children,
-                                      uint32_t total_size) {
-  if (truncated_) return;
-  if (size_budget == 0) {
-    if (shapes_.size() >= max_shapes_) {
-      truncated_ = true;
-      return;
-    }
-    shapes_.push_back({label, *children, total_size});
-    return;
-  }
-  const uint32_t start =
-      children->empty() ? max_id : children->back() + 1;  // ids < start
-  for (uint32_t id = start; id-- > 0;) {
-    if (shapes_[id].size > size_budget) continue;
-    children->push_back(id);
-    EmitWithChildren(label, size_budget - shapes_[id].size, max_id, children,
-                     total_size);
-    children->pop_back();
-    if (truncated_) return;
-  }
-}
-
-void TreeEnumerator::Materialize(uint32_t shape_id, Tree* tree,
-                                 NodeId parent) const {
-  const Shape& shape = shapes_[shape_id];
-  const NodeId node = parent == kNullNode ? tree->CreateRoot(shape.label)
-                                          : tree->AddChild(parent, shape.label);
-  for (uint32_t child : shape.children) Materialize(child, tree, node);
-}
-
-bool TreeEnumerator::Enumerate(
-    const std::function<bool(const Tree&)>& visit) const {
-  for (uint32_t id = 0; id < shapes_.size(); ++id) {
-    Tree tree(symbols_);
-    Materialize(id, &tree, kNullNode);
-    if (!visit(tree)) return false;
-  }
-  return true;
-}
-
 namespace {
 
-std::vector<Label> SearchAlphabet(const Pattern& read, const Pattern& update,
-                                  size_t extra_labels) {
-  std::set<Label> labels;
-  for (Label l : read.DistinctLabels()) labels.insert(l);
-  for (Label l : update.DistinctLabels()) labels.insert(l);
-  std::vector<Label> alphabet(labels.begin(), labels.end());
-  for (size_t i = 0; i < extra_labels; ++i) {
-    alphabet.push_back(read.symbols()->Fresh("alpha"));
-  }
-  if (alphabet.empty()) alphabet.push_back(read.symbols()->Fresh("alpha"));
-  return alphabet;
-}
-
 /// NP-path accounting: how many searches ran, how many trees they
-/// enumerated, and how often the budget (shape cap / max_nodes) stopped
-/// them before the space was covered. Counters are bumped once per search
-/// (bulk adds), never inside the per-tree loop.
+/// enumerated and how many of those reached the witness checker, and how
+/// often the budget (shape cap / max_nodes) stopped them before the space
+/// was covered. Counters are bumped once per search (bulk adds), never
+/// inside the per-tree loop.
 struct SearchMetrics {
   obs::Counter& searches;
   obs::Counter& trees_checked;
+  obs::Counter& trees_materialized;
+  obs::Counter& shape_table_builds;
   obs::Counter& witnesses_found;
   obs::Counter& truncations;
   obs::Counter& budget_exhausted;
@@ -113,6 +34,8 @@ struct SearchMetrics {
       return new SearchMetrics{
           reg.GetCounter("bounded_search.searches"),
           reg.GetCounter("bounded_search.trees_checked"),
+          reg.GetCounter("bounded_search.trees_materialized"),
+          reg.GetCounter("bounded_search.shape_table_builds"),
           reg.GetCounter("bounded_search.witnesses_found"),
           reg.GetCounter("bounded_search.truncations"),
           reg.GetCounter("bounded_search.budget_exhausted"),
@@ -123,59 +46,336 @@ struct SearchMetrics {
   }
 };
 
-BruteForceResult RunSearch(const Pattern& read, const Pattern& update,
-                           const BoundedSearchOptions& options,
-                           const std::function<bool(const Tree&)>& is_witness) {
+/// The process-wide table cache behind ShapeTable::Get. Tables are built
+/// outside the lock, so a large build never stalls searches on other keys;
+/// two threads missing on one key may both build it, and the later insert
+/// adopts the table already cached.
+class ShapeTableCache {
+ public:
+  static ShapeTableCache& Default() {
+    static ShapeTableCache* const cache = new ShapeTableCache();
+    return *cache;
+  }
+
+  std::shared_ptr<const ShapeTable> Get(size_t alphabet_size,
+                                        size_t max_nodes, uint64_t max_shapes)
+      XMLUP_EXCLUDES(mu_) {
+    const Key key{alphabet_size, max_nodes, max_shapes};
+    {
+      MutexLock lock(mu_);
+      if (std::shared_ptr<const ShapeTable> hit = Find(key)) return hit;
+    }
+    auto table = std::make_shared<const ShapeTable>(alphabet_size, max_nodes,
+                                                    max_shapes);
+    if (table->size() > ShapeTable::kMaxCachedShapes) return table;
+    MutexLock lock(mu_);
+    if (std::shared_ptr<const ShapeTable> raced = Find(key)) return raced;
+    while (!entries_.empty() &&
+           (entries_.size() >= ShapeTable::kMaxCachedTables ||
+            cached_shapes_ + table->size() > ShapeTable::kMaxCachedShapes)) {
+      auto lru = std::min_element(entries_.begin(), entries_.end(),
+                                  [](const Entry& a, const Entry& b) {
+                                    return a.last_use < b.last_use;
+                                  });
+      cached_shapes_ -= lru->table->size();
+      entries_.erase(lru);
+    }
+    entries_.push_back({key, table, ++clock_});
+    cached_shapes_ += table->size();
+    return table;
+  }
+
+ private:
+  struct Key {
+    size_t alphabet_size;
+    size_t max_nodes;
+    uint64_t max_shapes;
+    bool operator==(const Key&) const = default;
+  };
+  struct Entry {
+    Key key;
+    std::shared_ptr<const ShapeTable> table;
+    uint64_t last_use;
+  };
+
+  std::shared_ptr<const ShapeTable> Find(const Key& key)
+      XMLUP_REQUIRES(mu_) {
+    for (Entry& entry : entries_) {
+      if (entry.key == key) {
+        entry.last_use = ++clock_;
+        return entry.table;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Leaf lock: table builds and evicted tables' destruction happen
+  /// outside it or touch nothing else.
+  Mutex mu_;
+  std::vector<Entry> entries_ XMLUP_GUARDED_BY(mu_);
+  uint64_t cached_shapes_ XMLUP_GUARDED_BY(mu_) = 0;
+  uint64_t clock_ XMLUP_GUARDED_BY(mu_) = 0;
+};
+
+}  // namespace
+
+ShapeTable::ShapeTable(size_t alphabet_size, size_t max_nodes,
+                       uint64_t max_shapes)
+    : max_shapes_(max_shapes) {
+  XMLUP_CHECK(alphabet_size > 0);
+  SearchMetrics::Get().shape_table_builds.Increment();
+  // Build state: node count per shape, and ends[z] = number of shapes with
+  // at most z nodes (shapes are generated in size order).
+  std::vector<uint32_t> sizes;
+  std::vector<uint32_t> ends = {0};
+  for (uint32_t size = 1; size <= max_nodes && !truncated_; ++size) {
+    // Only shapes strictly smaller than `size` exist at this point; all of
+    // them are candidates for children.
+    for (uint32_t label = 0; label < alphabet_size && !truncated_; ++label) {
+      std::vector<uint32_t> children;
+      EmitWithChildren(label, size - 1, &children, size, &sizes, ends);
+    }
+    ends.push_back(this->size());
+  }
+  labels_.shrink_to_fit();
+  child_offsets_.shrink_to_fit();
+  children_.shrink_to_fit();
+}
+
+std::shared_ptr<const ShapeTable> ShapeTable::Get(size_t alphabet_size,
+                                                  size_t max_nodes,
+                                                  uint64_t max_shapes) {
+  return ShapeTableCache::Default().Get(alphabet_size, max_nodes, max_shapes);
+}
+
+/// Emits every shape with the given root label and a canonical multiset of
+/// children whose sizes sum to `size_budget`, drawn from the shapes
+/// smaller than `total_size`, in non-increasing id order.
+void ShapeTable::EmitWithChildren(uint32_t label, uint32_t size_budget,
+                                  std::vector<uint32_t>* children,
+                                  uint32_t total_size,
+                                  std::vector<uint32_t>* sizes,
+                                  const std::vector<uint32_t>& ends) {
+  if (truncated_) return;
+  if (size_budget == 0) {
+    if (size() >= max_shapes_) {
+      truncated_ = true;
+      return;
+    }
+    labels_.push_back(label);
+    children_.insert(children_.end(), children->begin(), children->end());
+    child_offsets_.push_back(static_cast<uint32_t>(children_.size()));
+    sizes->push_back(total_size);
+    return;
+  }
+  // Ids below ends[size_budget] are exactly the shapes that still fit.
+  uint32_t start = ends[size_budget];
+  if (!children->empty()) start = std::min(start, children->back() + 1);
+  for (uint32_t id = start; id-- > 0;) {
+    children->push_back(id);
+    EmitWithChildren(label, size_budget - (*sizes)[id], children, total_size,
+                     sizes, ends);
+    children->pop_back();
+    if (truncated_) return;
+  }
+}
+
+Tree ShapeTable::Materialize(uint32_t s, std::shared_ptr<SymbolTable> symbols,
+                             std::span<const Label> alphabet) const {
+  Tree tree(std::move(symbols));
+  Materialize(s, alphabet, &tree, kNullNode);
+  return tree;
+}
+
+void ShapeTable::Materialize(uint32_t s, std::span<const Label> alphabet,
+                             Tree* tree, NodeId parent) const {
+  const Label label = alphabet[labels_[s]];
+  const NodeId node = parent == kNullNode ? tree->CreateRoot(label)
+                                          : tree->AddChild(parent, label);
+  for (uint32_t child : children(s)) Materialize(child, alphabet, tree, node);
+}
+
+std::vector<uint64_t> ShapeMatchMasks(const ShapeTable& table,
+                                      std::span<const Label> alphabet,
+                                      const Pattern& pattern) {
+  XMLUP_CHECK(pattern.size() <= 64);
+  // Per alphabet index: the pattern nodes whose label test it passes. Per
+  // pattern node: its children by edge kind.
+  std::vector<uint64_t> label_ok(alphabet.size(), 0);
+  std::vector<uint64_t> child_edges(pattern.size(), 0);
+  std::vector<uint64_t> descendant_edges(pattern.size(), 0);
+  for (PatternNodeId q = 0; q < pattern.size(); ++q) {
+    const uint64_t bit = uint64_t{1} << q;
+    for (size_t a = 0; a < alphabet.size(); ++a) {
+      if (pattern.is_wildcard(q) || pattern.label(q) == alphabet[a]) {
+        label_ok[a] |= bit;
+      }
+    }
+    if (q == pattern.root()) continue;
+    (pattern.axis(q) == Axis::kChild ? child_edges
+                                     : descendant_edges)[pattern.parent(q)] |=
+        bit;
+  }
+  // sat[s] bit q: sub-pattern q embeds with q ↦ root(s). anywhere[s]: the
+  // union of sat over the subtree of s, root included.
+  std::vector<uint64_t> sat(table.size(), 0);
+  std::vector<uint64_t> anywhere(table.size(), 0);
+  for (uint32_t s = 0; s < table.size(); ++s) {
+    uint64_t child_sat = 0;
+    uint64_t below = 0;
+    for (uint32_t c : table.children(s)) {
+      child_sat |= sat[c];
+      below |= anywhere[c];
+    }
+    uint64_t matched = 0;
+    for (uint64_t candidates = label_ok[table.label(s)]; candidates != 0;
+         candidates &= candidates - 1) {
+      const uint32_t q = static_cast<uint32_t>(__builtin_ctzll(candidates));
+      if ((child_edges[q] & ~child_sat) == 0 &&
+          (descendant_edges[q] & ~below) == 0) {
+        matched |= uint64_t{1} << q;
+      }
+    }
+    sat[s] = matched;
+    anywhere[s] = matched | below;
+  }
+  return sat;
+}
+
+TreeEnumerator::TreeEnumerator(std::shared_ptr<SymbolTable> symbols,
+                               std::vector<Label> alphabet, size_t max_nodes,
+                               uint64_t max_shapes)
+    : symbols_(std::move(symbols)), alphabet_(std::move(alphabet)) {
+  XMLUP_CHECK(!alphabet_.empty());
+  table_ = ShapeTable::Get(alphabet_.size(), max_nodes, max_shapes);
+}
+
+bool TreeEnumerator::Enumerate(
+    const std::function<bool(const Tree&)>& visit) const {
+  for (uint32_t s = 0; s < table_->size(); ++s) {
+    if (!visit(table_->Materialize(s, symbols_, alphabet_))) return false;
+  }
+  return true;
+}
+
+std::set<Label> LabelsOf(std::initializer_list<const Pattern*> patterns,
+                         std::initializer_list<const Tree*> trees) {
+  std::set<Label> labels;
+  for (const Pattern* p : patterns) {
+    for (Label l : p->DistinctLabels()) labels.insert(l);
+  }
+  for (const Tree* t : trees) {
+    for (NodeId n : t->PreOrder()) labels.insert(t->label(n));
+  }
+  return labels;
+}
+
+std::vector<Label> SearchAlphabet(SymbolTable& symbols,
+                                  const std::set<Label>& labels,
+                                  const std::set<Label>& inputs,
+                                  size_t extra_labels) {
+  std::vector<Label> alphabet(labels.begin(), labels.end());
+  const size_t extra =
+      labels.empty() ? std::max<size_t>(extra_labels, 1) : extra_labels;
+  for (size_t i = 0; i < extra; ++i) {
+    // Distinct prefixes give distinct reserved names, and Fresh() mints a
+    // name nothing has interned: the extra labels are pairwise distinct
+    // and, by the `inputs` check, unused by the inputs.
+    const std::string prefix = i == 0 ? "alpha" : "alpha" + std::to_string(i);
+    const Label reserved = symbols.Reserved(prefix);
+    alphabet.push_back(inputs.count(reserved) != 0 ? symbols.Fresh(prefix)
+                                                   : reserved);
+  }
+  return alphabet;
+}
+
+BruteForceResult SearchShapes(
+    const std::shared_ptr<SymbolTable>& symbols,
+    const std::vector<Label>& alphabet, const BoundedSearchOptions& options,
+    std::span<const Pattern* const> must_embed,
+    const std::function<bool(const Tree&)>& is_witness) {
   const SearchMetrics& metrics = SearchMetrics::Get();
   metrics.searches.Increment();
   obs::ScopedTimer timer(&metrics.latency_us);
   obs::TraceSpan span("BruteForceSearch");
+  const std::shared_ptr<const ShapeTable> table =
+      ShapeTable::Get(alphabet.size(), options.max_nodes, options.max_trees);
+  // possible[s]: every must_embed pattern embeds at the root of shape s.
+  // Patterns too large for a mask word leave the filter open.
+  std::vector<char> possible(table->size(), 1);
+  for (const Pattern* pattern : must_embed) {
+    if (pattern->size() > 64) continue;
+    const std::vector<uint64_t> masks =
+        ShapeMatchMasks(*table, alphabet, *pattern);
+    const uint64_t root_bit = uint64_t{1} << pattern->root();
+    for (uint32_t s = 0; s < table->size(); ++s) {
+      if ((masks[s] & root_bit) == 0) possible[s] = 0;
+    }
+  }
+
   BruteForceResult result;
-  TreeEnumerator enumerator(read.symbols(),
-                            SearchAlphabet(read, update, options.extra_labels),
-                            options.max_nodes, options.max_trees);
-  bool completed = enumerator.Enumerate([&](const Tree& candidate) {
-    ++result.trees_checked;
+  result.truncated = table->truncated();
+  result.trees_checked = table->size();
+  uint64_t materialized = 0;
+  for (uint32_t s = 0; s < table->size(); ++s) {
+    if (!possible[s]) continue;
+    ++materialized;
+    Tree candidate = table->Materialize(s, symbols, alphabet);
     if (is_witness(candidate)) {
       result.outcome = SearchOutcome::kWitnessFound;
-      result.witness = CopyTree(candidate);
-      return false;
+      result.witness = std::move(candidate);
+      result.trees_checked = s + 1;
+      break;
     }
-    return true;
-  });
-  result.truncated = enumerator.truncated();
+  }
   metrics.trees_checked.Increment(result.trees_checked);
+  metrics.trees_materialized.Increment(materialized);
   if (result.truncated) metrics.truncations.Increment();
   if (result.outcome == SearchOutcome::kWitnessFound) {
     metrics.witnesses_found.Increment();
     return result;
   }
-  result.outcome = (completed && !enumerator.truncated())
-                       ? SearchOutcome::kExhaustedNoWitness
-                       : SearchOutcome::kBudgetExceeded;
-  if (result.outcome == SearchOutcome::kBudgetExceeded) {
+  // A truncated table covers only part of the space: no witness there
+  // proves nothing.
+  if (result.truncated) {
+    result.outcome = SearchOutcome::kBudgetExceeded;
     metrics.budget_exhausted.Increment();
+  } else {
+    result.outcome = SearchOutcome::kExhaustedNoWitness;
   }
   return result;
 }
 
-}  // namespace
-
 BruteForceResult BruteForceReadInsertSearch(
     const Pattern& read, const Pattern& insert_pattern, const Tree& inserted,
     ConflictSemantics semantics, const BoundedSearchOptions& options) {
-  return RunSearch(read, insert_pattern, options, [&](const Tree& candidate) {
-    return IsReadInsertWitness(read, insert_pattern, inserted, candidate,
-                               semantics);
-  });
+  // I(t) = t unless the insert pattern embeds into t.
+  const Pattern* must_embed[] = {&insert_pattern};
+  const std::set<Label> labels = LabelsOf({&read, &insert_pattern});
+  return SearchShapes(
+      read.symbols(),
+      SearchAlphabet(*read.symbols(), labels,
+                     LabelsOf({&read, &insert_pattern}, {&inserted}),
+                     options.extra_labels),
+      options, must_embed, [&](const Tree& candidate) {
+        return IsReadInsertWitness(read, insert_pattern, inserted, candidate,
+                                   semantics);
+      });
 }
 
 BruteForceResult BruteForceReadDeleteSearch(
     const Pattern& read, const Pattern& delete_pattern,
     ConflictSemantics semantics, const BoundedSearchOptions& options) {
-  return RunSearch(read, delete_pattern, options, [&](const Tree& candidate) {
-    return IsReadDeleteWitness(read, delete_pattern, candidate, semantics);
-  });
+  // D(t) = t unless the delete pattern embeds, and deletion creates no
+  // embeddings: R(D(t)) ⊆ R(t), so an empty R(t) stays empty.
+  const Pattern* must_embed[] = {&delete_pattern, &read};
+  const std::set<Label> labels = LabelsOf({&read, &delete_pattern});
+  return SearchShapes(
+      read.symbols(),
+      SearchAlphabet(*read.symbols(), labels, labels, options.extra_labels),
+      options, must_embed, [&](const Tree& candidate) {
+        return IsReadDeleteWitness(read, delete_pattern, candidate, semantics);
+      });
 }
 
 size_t PaperWitnessBound(const Pattern& read, const Pattern& update) {

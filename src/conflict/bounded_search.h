@@ -2,8 +2,11 @@
 #define XMLUP_CONFLICT_BOUNDED_SEARCH_H_
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "conflict/witness_check.h"
@@ -12,13 +15,79 @@
 
 namespace xmlup {
 
+/// The canonical shape table: every unordered labeled tree with
+/// 1..max_nodes nodes over an alphabet of `alphabet_size` labels, each
+/// isomorphism class exactly once (children in a canonical non-increasing
+/// id order). Labels are stored as alphabet indices, so one table serves
+/// every alphabet of that size. A child always has a smaller id than its
+/// parent: ascending id order is a bottom-up order. Immutable once built.
+class ShapeTable {
+ public:
+  /// Bounds of the process-wide cache behind Get(): at most
+  /// kMaxCachedTables tables holding kMaxCachedShapes shapes in total
+  /// (about 20 bytes a shape), least recently used evicted first. A table
+  /// larger than kMaxCachedShapes is built per call and never retained.
+  static constexpr uint64_t kMaxCachedShapes = uint64_t{1} << 18;
+  static constexpr size_t kMaxCachedTables = 32;
+
+  /// Generates the table; stops (truncated()) once `max_shapes` shapes
+  /// exist and another one is due.
+  ShapeTable(size_t alphabet_size, size_t max_nodes, uint64_t max_shapes);
+
+  /// The table for this key, shared through the bounded cache. Equal to
+  /// a fresh ShapeTable(alphabet_size, max_nodes, max_shapes) in every
+  /// shape, label and in truncated().
+  static std::shared_ptr<const ShapeTable> Get(size_t alphabet_size,
+                                               size_t max_nodes,
+                                               uint64_t max_shapes);
+
+  uint32_t size() const { return static_cast<uint32_t>(labels_.size()); }
+  /// True if the cap stopped generation before all shapes were produced.
+  bool truncated() const { return truncated_; }
+  /// Alphabet index of the root label of shape `s`.
+  uint32_t label(uint32_t s) const { return labels_[s]; }
+  /// Child shape ids of `s`, non-increasing.
+  std::span<const uint32_t> children(uint32_t s) const {
+    return std::span<const uint32_t>(children_).subspan(
+        child_offsets_[s], child_offsets_[s + 1] - child_offsets_[s]);
+  }
+
+  /// Builds shape `s` as a tree, binding index i to `alphabet[i]`.
+  Tree Materialize(uint32_t s, std::shared_ptr<SymbolTable> symbols,
+                   std::span<const Label> alphabet) const;
+
+ private:
+  void EmitWithChildren(uint32_t label, uint32_t size_budget,
+                        std::vector<uint32_t>* children, uint32_t total_size,
+                        std::vector<uint32_t>* sizes,
+                        const std::vector<uint32_t>& ends);
+  void Materialize(uint32_t s, std::span<const Label> alphabet, Tree* tree,
+                   NodeId parent) const;
+
+  uint64_t max_shapes_;
+  bool truncated_ = false;
+  std::vector<uint32_t> labels_;
+  /// Children of shape s are children_[child_offsets_[s], child_offsets_[s+1]).
+  std::vector<uint32_t> child_offsets_{0};
+  std::vector<uint32_t> children_;
+};
+
+/// Bottom-up match masks of `pattern` over `table` for the alphabet that
+/// binds its indices: bit q of mask[s] is set iff the sub-pattern rooted
+/// at pattern node q embeds into shape s with q mapped to the root of s.
+/// The recurrence is EvaluateFast's `sat`/`below` one, each shape's mask
+/// computed once from its children's. `pattern` has at most 64 nodes.
+std::vector<uint64_t> ShapeMatchMasks(const ShapeTable& table,
+                                      std::span<const Label> alphabet,
+                                      const Pattern& pattern);
+
 /// Enumerates all *canonical* unordered labeled trees with 1..max_nodes
 /// nodes over a fixed finite alphabet: every isomorphism class is produced
-/// exactly once (children are kept in a canonical non-increasing order).
-/// This realizes the "guess a tree of size polynomial in the inputs"
-/// step of the paper's NP-membership proofs (Theorems 3 and 5) as an
-/// exhaustive search, and doubles as the ground-truth oracle for the
-/// property tests of the polynomial detectors.
+/// exactly once. This realizes the "guess a tree of size polynomial in the
+/// inputs" step of the paper's NP-membership proofs (Theorems 3 and 5) as
+/// an exhaustive search, and doubles as the ground-truth oracle for the
+/// property tests of the polynomial detectors. The shapes come from the
+/// shared ShapeTable; trees are materialized on the caller's labels.
 class TreeEnumerator {
  public:
   /// `max_shapes` caps the internal table; generation stops (truncated())
@@ -28,32 +97,19 @@ class TreeEnumerator {
                  uint64_t max_shapes = 4'000'000);
 
   /// Number of distinct trees generated (≤ cap).
-  uint64_t count() const { return shapes_.size(); }
+  uint64_t count() const { return table_->size(); }
 
   /// True if the cap stopped generation before all trees were produced.
-  bool truncated() const { return truncated_; }
+  bool truncated() const { return table_->truncated(); }
 
   /// Visits every generated tree; `visit` returns false to stop early.
   /// Returns true iff the visit ran over all generated trees.
   bool Enumerate(const std::function<bool(const Tree&)>& visit) const;
 
  private:
-  struct Shape {
-    Label label;
-    std::vector<uint32_t> children;  // shape ids, non-increasing
-    uint32_t size;
-  };
-
-  void Build(size_t max_nodes);
-  void EmitWithChildren(Label label, uint32_t size_budget, uint32_t max_id,
-                        std::vector<uint32_t>* children, uint32_t total_size);
-  void Materialize(uint32_t shape_id, Tree* tree, NodeId parent) const;
-
   std::shared_ptr<SymbolTable> symbols_;
   std::vector<Label> alphabet_;
-  std::vector<Shape> shapes_;
-  uint64_t max_shapes_;
-  bool truncated_ = false;
+  std::shared_ptr<const ShapeTable> table_;
 };
 
 /// Options for exhaustive conflict search.
@@ -89,16 +145,47 @@ struct BruteForceResult {
   bool truncated = false;
 };
 
+/// Σ of `patterns` (wildcards excluded) and the labels of `trees`.
+std::set<Label> LabelsOf(std::initializer_list<const Pattern*> patterns,
+                         std::initializer_list<const Tree*> trees = {});
+
+/// The search alphabet: `labels` in ascending order, then `extra_labels`
+/// pairwise distinct labels that no input uses (at least one if `labels`
+/// is empty). `inputs` holds every label of the inputs and contains
+/// `labels`. Extra label i is the table's reserved `alpha$` (i = 0) or
+/// `alpha<i>$` label unless `inputs` contains it, else a fresh one, so
+/// repeated searches do not grow the SymbolTable.
+std::vector<Label> SearchAlphabet(SymbolTable& symbols,
+                                  const std::set<Label>& labels,
+                                  const std::set<Label>& inputs,
+                                  size_t extra_labels);
+
+/// The one bounded-search loop, shared by the read-update searches below,
+/// the DTD-restricted searches and the §6 commutativity search. Walks the
+/// shared shape table for `alphabet` up to options.max_nodes in canonical
+/// order. A shape is materialized and handed to `is_witness` only if every
+/// pattern in `must_embed` embeds at its root: the caller passes patterns
+/// that embed into every witness, so skipped shapes cannot be witnesses.
+/// Every enumerated shape counts in trees_checked, and a truncated table
+/// never yields kExhaustedNoWitness.
+BruteForceResult SearchShapes(
+    const std::shared_ptr<SymbolTable>& symbols,
+    const std::vector<Label>& alphabet, const BoundedSearchOptions& options,
+    std::span<const Pattern* const> must_embed,
+    const std::function<bool(const Tree&)>& is_witness);
+
 /// Exhaustively searches for a read-insert conflict witness of size
 /// ≤ options.max_nodes, with labels drawn from Σ_read ∪ Σ_insert plus
-/// `extra_labels` fresh symbols.
+/// `extra_labels` labels used by neither pattern nor `inserted`. Only
+/// trees the insert pattern embeds into reach the Lemma 1 checker.
 BruteForceResult BruteForceReadInsertSearch(const Pattern& read,
                                             const Pattern& insert_pattern,
                                             const Tree& inserted,
                                             ConflictSemantics semantics,
                                             const BoundedSearchOptions& options);
 
-/// Read-delete analogue.
+/// Read-delete analogue. Only trees both patterns embed into reach the
+/// Lemma 1 checker.
 BruteForceResult BruteForceReadDeleteSearch(const Pattern& read,
                                             const Pattern& delete_pattern,
                                             ConflictSemantics semantics,

@@ -21,42 +21,21 @@ bool UpdatesCommuteOn(const Tree& t, const UpdateOp& o1, const UpdateOp& o2) {
 BruteForceResult FindCommutativityViolation(
     const UpdateOp& o1, const UpdateOp& o2,
     const BoundedSearchOptions& options) {
-  // Alphabet: labels of both patterns, the inserted trees, plus fresh ones.
-  const auto& symbols = o1.pattern().symbols();
-  std::set<Label> labels;
-  for (Label l : o1.pattern().DistinctLabels()) labels.insert(l);
-  for (Label l : o2.pattern().DistinctLabels()) labels.insert(l);
+  // Alphabet: labels of both patterns and the inserted trees, plus unused
+  // ones.
+  std::set<Label> labels = LabelsOf({&o1.pattern(), &o2.pattern()});
   for (const UpdateOp* op : {&o1, &o2}) {
     if (op->kind() == UpdateOp::Kind::kInsert) {
-      for (NodeId n : op->content().PreOrder()) {
-        labels.insert(op->content().label(n));
-      }
+      labels.merge(LabelsOf({}, {&op->content()}));
     }
   }
-  std::vector<Label> alphabet(labels.begin(), labels.end());
-  for (size_t i = 0; i < options.extra_labels; ++i) {
-    alphabet.push_back(symbols->Fresh("alpha"));
-  }
-  if (alphabet.empty()) alphabet.push_back(symbols->Fresh("alpha"));
-
-  BruteForceResult result;
-  TreeEnumerator enumerator(symbols, alphabet, options.max_nodes,
-                            options.max_trees);
-  const bool completed = enumerator.Enumerate([&](const Tree& candidate) {
-    ++result.trees_checked;
-    if (!UpdatesCommuteOn(candidate, o1, o2)) {
-      result.outcome = SearchOutcome::kWitnessFound;
-      result.witness = CopyTree(candidate);
-      return false;
-    }
-    return true;
-  });
-  result.truncated = enumerator.truncated();
-  if (result.outcome == SearchOutcome::kWitnessFound) return result;
-  result.outcome = (completed && !enumerator.truncated())
-                       ? SearchOutcome::kExhaustedNoWitness
-                       : SearchOutcome::kBudgetExceeded;
-  return result;
+  const std::shared_ptr<SymbolTable>& symbols = o1.pattern().symbols();
+  return SearchShapes(
+      symbols,
+      SearchAlphabet(*symbols, labels, labels, options.extra_labels), options,
+      /*must_embed=*/{}, [&](const Tree& candidate) {
+        return !UpdatesCommuteOn(candidate, o1, o2);
+      });
 }
 
 }  // namespace xmlup

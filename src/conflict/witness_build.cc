@@ -48,10 +48,17 @@ void GraftBranchModelsEverywhere(Tree* tree, const Pattern& update) {
     }
   }
   if (branches.empty()) return;
-  const Label filler = tree->symbols()->Fresh("bfill");
   // Snapshot the node set first: models are grafted onto the original
   // nodes only (the Lemma 4 proof adds M_c to each node of W).
   const std::vector<NodeId> nodes = tree->PreOrder();
+  // The reserved filler unless `update` or the tree already uses it; every
+  // caller re-checks the grafted tree with the Lemma 1 checker.
+  const std::shared_ptr<SymbolTable>& symbols = tree->symbols();
+  const Label reserved = symbols->Reserved("bfill");
+  const std::vector<Label> labels = update.DistinctLabels();
+  bool used = std::find(labels.begin(), labels.end(), reserved) != labels.end();
+  for (NodeId n : nodes) used = used || tree->label(n) == reserved;
+  const Label filler = used ? symbols->Fresh("bfill") : reserved;
   for (NodeId n : nodes) {
     for (PatternNodeId c : branches) {
       GraftModel(tree, n, update, c, filler);

@@ -32,7 +32,8 @@ Tree MatchWordToPath(const ClassWord& word,
 /// `update` (a child subtree hanging off the root→output mainline), grafts
 /// a model of that subpattern onto every pre-existing node of `tree`, so
 /// any embedding of the mainline extends to an embedding of the full
-/// pattern. Wildcards in the models are filled with a fresh symbol.
+/// pattern. Wildcards in the models are filled with the table's reserved
+/// `bfill$` label, or a fresh one when `update` or `tree` uses it.
 void GraftBranchModelsEverywhere(Tree* tree, const Pattern& update);
 
 }  // namespace xmlup

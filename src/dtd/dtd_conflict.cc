@@ -2,50 +2,26 @@
 
 #include <set>
 
-#include "xml/tree_algos.h"
-
 namespace xmlup {
 namespace {
 
-std::vector<Label> DtdSearchAlphabet(const Pattern& read,
-                                     const Pattern& update, const Dtd& dtd,
-                                     size_t extra_labels) {
-  std::set<Label> labels = dtd.MentionedLabels();
-  for (Label l : read.DistinctLabels()) labels.insert(l);
-  for (Label l : update.DistinctLabels()) labels.insert(l);
-  std::vector<Label> alphabet(labels.begin(), labels.end());
-  for (size_t i = 0; i < extra_labels; ++i) {
-    alphabet.push_back(read.symbols()->Fresh("alpha"));
-  }
-  if (alphabet.empty()) alphabet.push_back(read.symbols()->Fresh("alpha"));
-  return alphabet;
-}
-
+/// The bounded search restricted to DTD-conforming trees; `must_embed` as
+/// for the unrestricted searches.
 BruteForceResult SearchConforming(
-    const Pattern& read, const Pattern& update, const Dtd& dtd,
-    const BoundedSearchOptions& options,
+    const Pattern& read, const Pattern& update, const Tree* inserted,
+    const Dtd& dtd, const BoundedSearchOptions& options,
+    std::span<const Pattern* const> must_embed,
     const std::function<bool(const Tree&)>& is_witness) {
-  BruteForceResult result;
-  TreeEnumerator enumerator(
-      read.symbols(), DtdSearchAlphabet(read, update, dtd,
-                                        options.extra_labels),
-      options.max_nodes, options.max_trees);
-  const bool completed = enumerator.Enumerate([&](const Tree& candidate) {
-    ++result.trees_checked;
-    if (!dtd.Conforms(candidate)) return true;
-    if (is_witness(candidate)) {
-      result.outcome = SearchOutcome::kWitnessFound;
-      result.witness = CopyTree(candidate);
-      return false;
-    }
-    return true;
-  });
-  result.truncated = enumerator.truncated();
-  if (result.outcome == SearchOutcome::kWitnessFound) return result;
-  result.outcome = (completed && !enumerator.truncated())
-                       ? SearchOutcome::kExhaustedNoWitness
-                       : SearchOutcome::kBudgetExceeded;
-  return result;
+  std::set<Label> labels = dtd.MentionedLabels();
+  labels.merge(LabelsOf({&read, &update}));
+  std::set<Label> inputs = labels;
+  if (inserted != nullptr) inputs.merge(LabelsOf({}, {inserted}));
+  return SearchShapes(
+      read.symbols(),
+      SearchAlphabet(*read.symbols(), labels, inputs, options.extra_labels),
+      options, must_embed, [&](const Tree& candidate) {
+        return dtd.Conforms(candidate) && is_witness(candidate);
+      });
 }
 
 }  // namespace
@@ -54,8 +30,9 @@ BruteForceResult FindReadInsertConflictUnderDtd(
     const Pattern& read, const Pattern& insert_pattern, const Tree& inserted,
     const Dtd& dtd, ConflictSemantics semantics,
     const BoundedSearchOptions& options) {
-  return SearchConforming(read, insert_pattern, dtd, options,
-                          [&](const Tree& candidate) {
+  const Pattern* must_embed[] = {&insert_pattern};
+  return SearchConforming(read, insert_pattern, &inserted, dtd, options,
+                          must_embed, [&](const Tree& candidate) {
                             return IsReadInsertWitness(read, insert_pattern,
                                                        inserted, candidate,
                                                        semantics);
@@ -65,8 +42,9 @@ BruteForceResult FindReadInsertConflictUnderDtd(
 BruteForceResult FindReadDeleteConflictUnderDtd(
     const Pattern& read, const Pattern& delete_pattern, const Dtd& dtd,
     ConflictSemantics semantics, const BoundedSearchOptions& options) {
-  return SearchConforming(read, delete_pattern, dtd, options,
-                          [&](const Tree& candidate) {
+  const Pattern* must_embed[] = {&delete_pattern, &read};
+  return SearchConforming(read, delete_pattern, nullptr, dtd, options,
+                          must_embed, [&](const Tree& candidate) {
                             return IsReadDeleteWitness(read, delete_pattern,
                                                        candidate, semantics);
                           });

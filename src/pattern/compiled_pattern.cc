@@ -19,15 +19,8 @@ size_t NfaBytes(const Nfa& nfa) {
   size_t total = sizeof(Nfa);
   total += nfa.transitions().size() * sizeof(Nfa::Transition);
   total += nfa.epsilon_transitions().size() * sizeof(Nfa::EpsilonTransition);
-  // Per-state adjacency + precomputed closures (indices are 4 bytes each;
-  // closures hold at least the state itself).
-  for (StateId s = 0; s < nfa.num_states(); ++s) {
-    total += 3 * sizeof(std::vector<StateId>);
-    total += nfa.TransitionsFrom(s).size() * sizeof(uint32_t);
-    total += nfa.EpsilonFrom(s).size() * sizeof(StateId);
-    total += nfa.ClosureFrom(s).size() * sizeof(StateId);
-  }
-  return total;
+  // Per-state adjacency + precomputed closures.
+  return total + nfa.IndexBytes();
 }
 
 size_t PatternBytes(const Pattern& p) {

@@ -297,6 +297,24 @@ TEST_F(EngineTest, RepeatedWitnessesDoNotGrowTheSymbolTable) {
   EXPECT_EQ(engine_.symbols()->size(), symbols);
 }
 
+TEST_F(EngineTest, RepeatedSearchesDoNotGrowTheSymbolTable) {
+  // A branching read falls through to the bounded search, whose extra
+  // alphabet label is the table's reserved one: after the first call
+  // interned it, further searches add no symbols.
+  const PatternRef read = engine_.Intern(P("a[b]/c"));
+  const UpdateOp del = engine_.Bind(*UpdateOp::MakeDelete(P("a/d")));
+  Result<ConflictReport> first = engine_.Detect(read, del);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->method, DetectorMethod::kBoundedSearch);
+  const size_t symbols = engine_.symbols()->size();
+  for (int i = 0; i < 1000; ++i) {
+    Result<ConflictReport> again = engine_.Detect(read, del);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->verdict, first->verdict);
+  }
+  EXPECT_EQ(engine_.symbols()->size(), symbols);
+}
+
 TEST_F(EngineTest, WitnessAvoidsAReservedLabelTheContentUses) {
   // Content carrying the reserved filler label (copied out of an earlier
   // witness, say) forces a fresh filler; the witness still verifies.
