@@ -103,7 +103,8 @@ void BM_BatchMatrix(benchmark::State& state) {
   double hit_rate = 0;
   for (auto _ : state) {
     BatchConflictDetector engine(options);
-    auto matrix = engine.DetectMatrix(reads, updates);
+    auto matrix =
+        engine.DetectMatrix(bench::InternReads(engine, reads), updates);
     benchmark::DoNotOptimize(matrix.data());
     const BatchStats& stats = engine.stats();
     hit_rate = static_cast<double>(stats.cache_hits) /
@@ -126,7 +127,8 @@ void BM_BatchMatrixNoCache(benchmark::State& state) {
   options.enable_cache = false;
   for (auto _ : state) {
     BatchConflictDetector engine(options);
-    auto matrix = engine.DetectMatrix(reads, updates);
+    auto matrix =
+        engine.DetectMatrix(bench::InternReads(engine, reads), updates);
     benchmark::DoNotOptimize(matrix.data());
   }
   state.counters["pairs"] = static_cast<double>(kMatrix * kMatrix);
@@ -153,7 +155,8 @@ void BM_BatchSpeedupVsSequential(benchmark::State& state) {
         SequentialPairLoop(reads, updates, options.detector));
     const auto t1 = std::chrono::steady_clock::now();
     BatchConflictDetector engine(options);
-    auto matrix = engine.DetectMatrix(reads, updates);
+    auto matrix =
+        engine.DetectMatrix(bench::InternReads(engine, reads), updates);
     benchmark::DoNotOptimize(matrix.data());
     const auto t2 = std::chrono::steady_clock::now();
     speedup = std::chrono::duration<double>(t1 - t0).count() /

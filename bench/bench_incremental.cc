@@ -112,7 +112,8 @@ double TimeScratchStream(const std::vector<Edit>& edits) {
       updates[edit.index] = *edit.update;
     }
     BatchConflictDetector engine(MakeOptions());
-    auto matrix = engine.DetectMatrix(reads, updates);
+    auto matrix =
+        engine.DetectMatrix(bench::InternReads(engine, reads), updates);
     benchmark::DoNotOptimize(matrix.data());
   }
   const auto t1 = std::chrono::steady_clock::now();

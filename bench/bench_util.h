@@ -7,8 +7,10 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "conflict/batch_detector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pattern/xpath_parser.h"
@@ -30,6 +32,18 @@ inline const std::shared_ptr<SymbolTable>& Symbols() {
 
 inline Pattern Xp(const char* xpath) {
   return MustParseXPath(xpath, Symbols());
+}
+
+/// `reads` interned through `engine`'s store: the refs its
+/// DetectMatrix/DetectPairs take.
+inline std::vector<PatternRef> InternReads(BatchConflictDetector& engine,
+                                           const std::vector<Pattern>& reads) {
+  std::vector<PatternRef> refs;
+  refs.reserve(reads.size());
+  for (const Pattern& read : reads) {
+    refs.push_back(engine.pattern_store()->Intern(read));
+  }
+  return refs;
 }
 
 /// A random linear pattern of exactly `size` nodes over a small alphabet.

@@ -43,8 +43,9 @@ int main() {
   const DependenceAnalysisResult deps = engine.AnalyzeDependences(program);
   std::cout << "dependences (must stay ordered):\n";
   for (const Dependence& d : deps.dependences) {
-    std::cout << "  stmt " << d.from << " -> stmt " << d.to << "  (on $"
-              << d.reason << ")\n";
+    std::cout << "  stmt " << d.from << " -> stmt " << d.to << "  ("
+              << DependenceKindName(d.kind) << " on $"
+              << program.statements()[d.from].target_var << ")\n";
   }
   std::cout << deps.pairs_independent << "/" << deps.pairs_total
             << " pairs proven independent\n\n";

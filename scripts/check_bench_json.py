@@ -133,7 +133,8 @@ def check_lint(stats, args):
     lint = require(
         stats, "lint",
         ["programs", "statements", "diagnostics", "fixits", "pairs_checked",
-         "unknown_share", "seconds", "diagnostics_per_sec"],
+         "pairs_requested", "unknown_share", "seconds",
+         "diagnostics_per_sec"],
         sub="lint")
     counters = require(
         stats["metrics"], "lint",
@@ -146,6 +147,12 @@ def check_lint(stats, args):
         structural("lint corpus produced zero diagnostics: passes are dead")
     if lint["pairs_checked"] == 0:
         structural("lint corpus checked zero pairs: engine wiring is dead")
+    # One dependence analysis per lint: the batch layer sees each checked
+    # pair once. More requests than checked pairs means a pass re-solves.
+    if lint["pairs_requested"] != lint["pairs_checked"]:
+        structural(f"lint requested {lint['pairs_requested']} batch pairs "
+                   f"for {lint['pairs_checked']} checked: a pass solves "
+                   "the pair list a second time")
     if not 0.0 <= lint["unknown_share"] <= 1.0:
         structural(f"unknown_share {lint['unknown_share']} not in [0, 1]")
     print(f"ok: {lint['programs']} programs, {lint['diagnostics']} "

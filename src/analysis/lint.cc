@@ -4,12 +4,12 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "analysis/optimizer.h"
 #include "common/string_util.h"
 #include "common/wavefront.h"
 #include "conflict/minimize.h"
-#include "conflict/update_independence.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pattern/pattern_ops.h"
@@ -49,40 +49,6 @@ struct LintMetrics {
     return *metrics;
   }
 };
-
-bool IsUpdate(const Statement& s) {
-  return s.kind == Statement::Kind::kInsert ||
-         s.kind == Statement::Kind::kDelete;
-}
-
-std::optional<UpdateOp> ToUpdateOp(const Statement& s) {
-  if (s.kind == Statement::Kind::kInsert) {
-    if (s.content == nullptr) return std::nullopt;
-    return UpdateOp::MakeInsert(s.pattern, s.content);
-  }
-  Result<UpdateOp> del = UpdateOp::MakeDelete(s.pattern);
-  if (!del.ok()) return std::nullopt;
-  return std::move(del).value();
-}
-
-/// Why two statements must stay ordered (the partitioner's edge labels).
-enum class EdgeReason {
-  kConflict,    // detector proved a read/update conflict
-  kUnknown,     // truncated verdict — conservatively ordered
-  kError,       // detector error — conservatively ordered
-  kUpdatePair,  // update/update without a commutativity certificate
-  kResultVar,   // write-after-write on one result variable
-  kAlias,       // CSE alias must follow its source
-  kMalformed,   // statement the detectors cannot model
-};
-
-struct DependenceEdge {
-  size_t from;
-  size_t to;
-  EdgeReason reason;
-};
-
-uint64_t PairKey(size_t a, size_t b, size_t n) { return a * n + b; }
 
 std::string StatementSummary(const Program& program, size_t index) {
   const Statement& s = program.statements()[index];
@@ -267,7 +233,7 @@ Linter::Linter(LintOptions options)
         }
         return options;
       }()),
-      batch_(options_.batch) {}
+      analyzer_(options_.batch) {}
 
 LintResult Linter::Lint(const Program& program) const {
   obs::TraceSpan lint_span("Lint");
@@ -280,158 +246,42 @@ LintResult Linter::Lint(const Program& program) const {
   result.stats.statements = n;
   metrics.statements.Increment(n);
 
-  // --- Statement models -------------------------------------------------
-  // Bound UpdateOps for every well-formed update; `malformed` marks the
-  // rest (they stay conservatively dependent on everything on their
-  // variable and are reported by the malformed-update pass).
-  const std::shared_ptr<PatternStore>& store = batch_.pattern_store();
-  std::vector<std::optional<UpdateOp>> ops(n);
+  // --- One dependence analysis -----------------------------------------
+  // Binds the updates, solves every same-variable read/update pair in one
+  // batch call and certifies every same-variable update pair; each pass
+  // below reads this one result.
+  const DependenceAnalysisResult analysis = analyzer_.Analyze(program);
+  result.stats.pairs_checked = analysis.read_update_pairs;
+  result.stats.update_pairs_checked = analysis.update_pairs;
   std::vector<bool> malformed(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    if (!IsUpdate(statements[i])) continue;
-    std::optional<UpdateOp> op = ToUpdateOp(statements[i]);
-    if (!op.has_value()) {
-      malformed[i] = true;
-    } else {
-      ops[i] = op->Bind(store);
-    }
-  }
-
-  // --- Read/update pair matrix via the batch engine ---------------------
-  // Mirrors DependenceAnalyzer::Analyze: every same-variable read/update
-  // pair enters the engine once, on interned refs.
-  std::unordered_map<uint64_t, SharedConflictResult> report_of;
-  {
-    obs::TraceSpan matrix_span("Lint.matrix");
-    std::vector<PatternRef> reads;
-    std::vector<UpdateOp> updates;
-    std::unordered_map<size_t, size_t> read_slot;
-    std::unordered_map<size_t, size_t> update_slot;
-    std::vector<ReadUpdatePair> pairs;
-    std::vector<uint64_t> pair_keys;  // (read stmt, update stmt) per pair
-    auto read_index_of = [&](size_t s) {
-      auto [it, inserted] = read_slot.emplace(s, reads.size());
-      if (inserted) reads.push_back(store->Intern(statements[s].pattern));
-      return it->second;
-    };
-    auto update_index_of = [&](size_t s) {
-      auto [it, inserted] = update_slot.emplace(s, updates.size());
-      if (inserted) updates.push_back(*ops[s]);
-      return it->second;
-    };
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        const Statement& a = statements[i];
-        const Statement& b = statements[j];
-        if (a.target_var != b.target_var) continue;
-        if (IsUpdate(a) == IsUpdate(b)) continue;
-        const size_t read_stmt = IsUpdate(a) ? j : i;
-        const size_t update_stmt = IsUpdate(a) ? i : j;
-        if (malformed[update_stmt]) continue;
-        pairs.push_back({read_index_of(read_stmt),
-                         update_index_of(update_stmt)});
-        pair_keys.push_back(PairKey(read_stmt, update_stmt, n));
-      }
-    }
-    const std::vector<SharedConflictResult> verdicts =
-        batch_.DetectPairs(reads, updates, pairs);
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      report_of.emplace(pair_keys[k], verdicts[k]);
-    }
-    result.stats.pairs_checked = pairs.size();
-  }
-  /// Verdict lookup; Unknown for anything the engine was not asked about.
-  auto verdict_of = [&](size_t read_stmt,
-                        size_t update_stmt) -> ConflictVerdict {
-    auto it = report_of.find(PairKey(read_stmt, update_stmt, n));
-    if (it == report_of.end() || !it->second->ok()) {
-      return ConflictVerdict::kUnknown;
-    }
-    return (*it->second)->verdict;
-  };
-
-  // --- Update/update commutativity certificates --------------------------
-  struct CertResult {
-    bool certified = false;
-    std::string detail;
-  };
-  std::unordered_map<uint64_t, CertResult> cert_of;
-  {
-    obs::TraceSpan cert_span("Lint.certificates");
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        if (!IsUpdate(statements[i]) || !IsUpdate(statements[j])) continue;
-        if (statements[i].target_var != statements[j].target_var) continue;
-        if (malformed[i] || malformed[j]) continue;
-        ++result.stats.update_pairs_checked;
-        Result<IndependenceReport> cert = CertifyUpdatesCommute(
-            *ops[i], *ops[j], options_.batch.detector);
-        CertResult entry;
-        if (cert.ok()) {
-          entry.certified =
-              cert->certificate == CommutativityCertificate::kCertified;
-          entry.detail = cert->detail;
-        } else {
-          entry.detail = cert.status().ToString();
-        }
-        cert_of.emplace(PairKey(i, j, n), std::move(entry));
-      }
-    }
-  }
+  for (size_t s : analysis.malformed) malformed[s] = true;
 
   // --- Conservative dependence edges -------------------------------------
-  // The partitioner's ground truth. Includes everything the dependence
-  // analyzer orders *plus* write-after-write edges on result variables
-  // (two reads into one variable must not swap — the dependence analyzer
-  // ignores result variables because it only tracks tree state).
-  std::vector<DependenceEdge> edges;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
+  // The partitioner's ground truth: the analysis edges plus two kinds only
+  // the linter needs — an alias must follow its source, and two reads into
+  // one result variable must not swap (the analysis tracks tree state, not
+  // result variables). Both join two reads, which the analysis never
+  // orders; sorting in (from, to) order gives the one forward sweep of
+  // ComputeWavefronts its precondition.
+  std::vector<std::pair<size_t, size_t>> edges;
+  edges.reserve(analysis.dependences.size());
+  for (const Dependence& d : analysis.dependences) {
+    edges.emplace_back(d.from, d.to);
+  }
+  for (size_t j = 0; j < n; ++j) {
+    const Statement& b = statements[j];
+    for (size_t i = 0; i < j; ++i) {
       const Statement& a = statements[i];
-      const Statement& b = statements[j];
-      if (b.alias_of.has_value() && *b.alias_of == i) {
-        edges.push_back({i, j, EdgeReason::kAlias});
-        continue;
-      }
-      if (a.kind == Statement::Kind::kRead &&
-          b.kind == Statement::Kind::kRead &&
-          !a.result_var.empty() && a.result_var == b.result_var) {
-        edges.push_back({i, j, EdgeReason::kResultVar});
-        continue;
-      }
-      if (a.target_var != b.target_var) continue;
-      if (!IsUpdate(a) && !IsUpdate(b)) continue;  // read/read
-      if (malformed[i] || malformed[j]) {
-        edges.push_back({i, j, EdgeReason::kMalformed});
-        continue;
-      }
-      if (IsUpdate(a) && IsUpdate(b)) {
-        const auto it = cert_of.find(PairKey(i, j, n));
-        if (it == cert_of.end() || !it->second.certified) {
-          edges.push_back({i, j, EdgeReason::kUpdatePair});
-        }
-        continue;
-      }
-      const size_t read_stmt = IsUpdate(a) ? j : i;
-      const size_t update_stmt = IsUpdate(a) ? i : j;
-      const auto it = report_of.find(PairKey(read_stmt, update_stmt, n));
-      if (it == report_of.end() || !it->second->ok()) {
-        edges.push_back({i, j, EdgeReason::kError});
-        continue;
-      }
-      switch ((*it->second)->verdict) {
-        case ConflictVerdict::kConflict:
-          edges.push_back({i, j, EdgeReason::kConflict});
-          break;
-        case ConflictVerdict::kUnknown:
-          // The soundness invariant: truncation is a dependence.
-          edges.push_back({i, j, EdgeReason::kUnknown});
-          break;
-        case ConflictVerdict::kNoConflict:
-          break;
-      }
+      const bool alias = b.alias_of.has_value() && *b.alias_of == i;
+      const bool result_var = a.kind == Statement::Kind::kRead &&
+                              b.kind == Statement::Kind::kRead &&
+                              !a.result_var.empty() &&
+                              a.result_var == b.result_var;
+      if (alias || result_var) edges.emplace_back(i, j);
     }
   }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   result.stats.dependence_edges = edges.size();
 
   auto emit = [&](LintRule rule, std::vector<size_t> stmts,
@@ -498,21 +348,16 @@ LintResult Linter::Lint(const Program& program) const {
     }
   }
 
-  // --- Pass: redundant-read (CSE via the Optimizer) ----------------------
-  // The Optimizer shares this linter's PatternStore and detector options,
-  // so its dependence edges agree verdict-for-verdict with ours; a read it
-  // aliases is exactly a read with no conflicting (or Unknown) update in
-  // between.
+  // --- Pass: redundant-read (the Optimizer's CSE step) -------------------
+  // Run on the analysis above: a read it aliases is exactly a read with no
+  // conflicting (or Unknown) update in between.
   {
     obs::TraceSpan span("Lint.redundant_read");
-    BatchDetectorOptions optimizer_options = options_.batch;
-    optimizer_options.store = store;
-    const Optimizer optimizer(optimizer_options);
-    const OptimizeResult optimized = optimizer.EliminateCommonReads(program);
+    Program aliased = program;
+    Optimizer::AliasCommonReads(analysis, &aliased);
     for (size_t j = 0; j < n; ++j) {
       if (statements[j].alias_of.has_value()) continue;  // already aliased
-      const std::optional<size_t>& alias =
-          optimized.program.statements()[j].alias_of;
+      const std::optional<size_t>& alias = aliased.statements()[j].alias_of;
       if (!alias.has_value()) continue;
       LintFixIt fixit;
       fixit.kind = LintFixIt::Kind::kAliasRead;
@@ -562,9 +407,7 @@ LintResult Linter::Lint(const Program& program) const {
           // Condition (3): the read must be provably unaffected; any
           // conflicting, Unknown, or unresolved verdict blocks every later
           // delete as well.
-          if (verdict_of(j, i) != ConflictVerdict::kNoConflict) {
-            blocked = true;
-          }
+          if (analysis.Depends(i, j)) blocked = true;
           continue;
         }
         if (statements[j].kind != Statement::Kind::kDelete || malformed[j]) {
@@ -603,17 +446,13 @@ LintResult Linter::Lint(const Program& program) const {
   // --- Pass: non-commuting-update-race -----------------------------------
   {
     obs::TraceSpan span("Lint.update_race");
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        const auto it = cert_of.find(PairKey(i, j, n));
-        if (it == cert_of.end() || it->second.certified) continue;
-        std::string message =
-            "updates may not commute; unsafe to reorder or parallelize";
-        if (!it->second.detail.empty()) {
-          message += " (" + it->second.detail + ")";
-        }
-        emit(LintRule::kUpdateRace, {i, j}, std::move(message), std::nullopt);
-      }
+    for (const Dependence& d : analysis.dependences) {
+      if (d.kind != DependenceKind::kUncertifiedUpdates) continue;
+      std::string message =
+          "updates may not commute; unsafe to reorder or parallelize";
+      if (!d.detail.empty()) message += " (" + d.detail + ")";
+      emit(LintRule::kUpdateRace, {d.from, d.to}, std::move(message),
+           std::nullopt);
     }
   }
 
@@ -679,14 +518,14 @@ LintResult Linter::Lint(const Program& program) const {
   // learns which budget to raise.
   {
     obs::TraceSpan span("Lint.truncated_verdict");
-    for (const DependenceEdge& edge : edges) {
-      if (edge.reason != EdgeReason::kUnknown) continue;
+    for (const Dependence& d : analysis.dependences) {
+      if (d.kind != DependenceKind::kUnknown) continue;
       ++result.stats.unknown_verdicts;
       metrics.unknown_verdicts.Increment();
-      emit(LintRule::kTruncatedVerdict, {edge.from, edge.to},
+      emit(LintRule::kTruncatedVerdict, {d.from, d.to},
            "bounded search exhausted its budget for the pair (" +
-               StatementSummary(program, edge.from) + ", " +
-               StatementSummary(program, edge.to) +
+               StatementSummary(program, d.from) + ", " +
+               StatementSummary(program, d.to) +
                "); treated as possibly conflicting",
            std::nullopt);
     }
@@ -699,12 +538,7 @@ LintResult Linter::Lint(const Program& program) const {
   // are pairwise independent.
   if (options_.partition && n > 0) {
     obs::TraceSpan span("Lint.partition");
-    std::vector<std::pair<size_t, size_t>> dag;
-    dag.reserve(edges.size());
-    for (const DependenceEdge& edge : edges) {
-      dag.emplace_back(edge.from, edge.to);
-    }
-    Wavefronts waves = ComputeWavefronts(n, dag);
+    Wavefronts waves = ComputeWavefronts(n, edges);
     result.partition.batches = std::move(waves.batches);
     result.partition.width = waves.width;
     std::vector<size_t> schedule;
@@ -747,7 +581,7 @@ LintResult Linter::Lint(const Program& program) const {
                                                             : b.statements[0];
                      return pa < pb;
                    });
-  result.stats.batch = batch_.stats();
+  result.stats.batch = analysis.batch_stats;
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/dependence.h"
 #include "analysis/program.h"
 #include "common/result.h"
 #include "conflict/batch_detector.h"
@@ -157,11 +158,13 @@ struct LintOptions {
   bool partition = true;
 };
 
-/// The analyzer. Reusable: the underlying batch engine's memo cache and
-/// pattern store warm across Lint() calls, so linting many programs with
-/// shared patterns pays for each distinct pair once. Diagnostics are
-/// deterministic across runs and thread counts (the engine guarantees
-/// verdict determinism; passes iterate in statement order).
+/// The analyzer. Each Lint() call runs one DependenceAnalyzer::Analyze
+/// pass — every read/update pair solved once, every update pair certified
+/// once — and all passes read that result. Reusable: the analyzer's memo
+/// cache and pattern store warm across Lint() calls, so linting many
+/// programs with shared patterns pays for each distinct pair once.
+/// Diagnostics are deterministic across runs and thread counts (the engine
+/// guarantees verdict determinism; passes iterate in statement order).
 class Linter {
  public:
   explicit Linter(LintOptions options = {});
@@ -170,7 +173,7 @@ class Linter {
 
  private:
   LintOptions options_;
-  mutable BatchConflictDetector batch_;
+  DependenceAnalyzer analyzer_;
 };
 
 /// --- Renderers ---

@@ -8,22 +8,18 @@ namespace xmlup {
 
 Optimizer::Optimizer(DetectorOptions options) : analyzer_(options) {}
 
-Optimizer::Optimizer(BatchDetectorOptions options) : analyzer_(options) {}
-
 OptimizeResult Optimizer::EliminateCommonReads(const Program& program) const {
   OptimizeResult result;
   result.program = program;
   result.analysis = analyzer_.Analyze(program);
+  result.reads_aliased = AliasCommonReads(result.analysis, &result.program);
+  return result;
+}
 
-  // dependents[j] = set of earlier statements j depends on, as a flat list.
-  auto depends = [&](size_t from, size_t to) {
-    for (const Dependence& d : result.analysis.dependences) {
-      if (d.from == from && d.to == to) return true;
-    }
-    return false;
-  };
-
-  auto& statements = result.program.mutable_statements();
+size_t Optimizer::AliasCommonReads(const DependenceAnalysisResult& analysis,
+                                   Program* program) {
+  size_t reads_aliased = 0;
+  auto& statements = program->mutable_statements();
   for (size_t j = 0; j < statements.size(); ++j) {
     Statement& later = statements[j];
     if (later.kind != Statement::Kind::kRead || later.alias_of.has_value()) {
@@ -40,15 +36,15 @@ OptimizeResult Optimizer::EliminateCommonReads(const Program& program) const {
       bool blocked = false;
       for (size_t k = i + 1; k < j && !blocked; ++k) {
         if (statements[k].kind == Statement::Kind::kRead) continue;
-        blocked = depends(k, j);
+        blocked = analysis.Depends(k, j);
       }
       if (blocked) continue;
       later.alias_of = i;
-      ++result.reads_aliased;
+      ++reads_aliased;
       break;
     }
   }
-  return result;
+  return reads_aliased;
 }
 
 std::vector<size_t> Optimizer::HoistReadsSchedule(

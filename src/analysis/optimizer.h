@@ -26,14 +26,18 @@ struct OptimizeResult {
 class Optimizer {
  public:
   explicit Optimizer(DetectorOptions options = {});
-  /// Full control over the underlying batch engine (thread count, memo
-  /// cache, shared PatternStore) — used by the lint pass so optimizer and
-  /// linter intern into one store.
-  explicit Optimizer(BatchDetectorOptions options);
 
   /// Applies read CSE; the returned program is observably equivalent under
   /// value semantics (validated by the test suite by executing both).
+  /// Analyzes `program`, then runs AliasCommonReads on the result.
   OptimizeResult EliminateCommonReads(const Program& program) const;
+
+  /// The CSE step alone, over an existing `analysis` of `program`: sets
+  /// `alias_of` on every read that repeats an earlier, unaliased read with
+  /// no dependent update in between. Returns the number of reads aliased.
+  /// The lint redundant-read pass calls this on its one analysis.
+  static size_t AliasCommonReads(const DependenceAnalysisResult& analysis,
+                                 Program* program);
 
   /// A dependence-respecting schedule with reads hoisted as early as
   /// possible. Returns statement indices in new execution order.

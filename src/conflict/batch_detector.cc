@@ -107,18 +107,6 @@ BatchPairKey BatchConflictDetector::CacheKey(const Pattern& read,
 }
 
 std::vector<SharedConflictResult> BatchConflictDetector::DetectMatrix(
-    const std::vector<Pattern>& reads, const std::vector<UpdateOp>& updates) {
-  std::vector<ReadUpdatePair> pairs;
-  pairs.reserve(reads.size() * updates.size());
-  for (size_t i = 0; i < reads.size(); ++i) {
-    for (size_t j = 0; j < updates.size(); ++j) {
-      pairs.push_back({i, j});
-    }
-  }
-  return DetectPairs(reads, updates, pairs);
-}
-
-std::vector<SharedConflictResult> BatchConflictDetector::DetectMatrix(
     const std::vector<PatternRef>& reads,
     const std::vector<UpdateOp>& updates) {
   std::vector<ReadUpdatePair> pairs;
@@ -129,21 +117,6 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectMatrix(
     }
   }
   return DetectPairs(reads, updates, pairs);
-}
-
-std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
-    const std::vector<Pattern>& reads, const std::vector<UpdateOp>& updates,
-    const std::vector<ReadUpdatePair>& pairs) {
-  // Intern-on-entry compatibility path. Interning is the only
-  // canonicalization cost left, paid once per distinct pattern over the
-  // *store's* lifetime — a pattern seen in an earlier call costs one code
-  // build and a hash probe here, never a re-minimization.
-  obs::TraceSpan span("batch.intern_reads");
-  std::vector<PatternRef> read_refs(reads.size());
-  ParallelFor(pool_.get(), reads.size(), [&](size_t i) {
-    read_refs[i] = store_->Intern(reads[i]);
-  });
-  return DetectPairs(read_refs, updates, pairs);
 }
 
 std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(

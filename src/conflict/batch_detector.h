@@ -146,20 +146,15 @@ class BatchConflictDetector {
   explicit BatchConflictDetector(BatchDetectorOptions options = {});
 
   /// Full N×M matrix in row-major order: result[i * updates.size() + j]
-  /// is the verdict for (reads[i], updates[j]). The Pattern overloads
-  /// intern on entry; the PatternRef overloads skip straight to the
-  /// integer-keyed path (refs must come from this engine's store).
-  std::vector<SharedConflictResult> DetectMatrix(
-      const std::vector<Pattern>& reads, const std::vector<UpdateOp>& updates);
+  /// is the verdict for (reads[i], updates[j]). Reads are refs into this
+  /// engine's store (intern them through pattern_store()), so the call
+  /// runs on the integer-keyed path from the start.
   std::vector<SharedConflictResult> DetectMatrix(
       const std::vector<PatternRef>& reads,
       const std::vector<UpdateOp>& updates);
 
   /// Sparse subset of the matrix; result[k] corresponds to pairs[k].
   /// Indices must be in range.
-  std::vector<SharedConflictResult> DetectPairs(
-      const std::vector<Pattern>& reads, const std::vector<UpdateOp>& updates,
-      const std::vector<ReadUpdatePair>& pairs);
   std::vector<SharedConflictResult> DetectPairs(
       const std::vector<PatternRef>& reads,
       const std::vector<UpdateOp>& updates,
@@ -180,9 +175,9 @@ class BatchConflictDetector {
   /// bound is set).
   size_t cache_size() const { return cache_.size(); }
 
-  /// The engine's pattern interner. Callers that build their inputs
-  /// against it (Intern + ref overloads / UpdateOp::Bind) skip per-call
-  /// canonicalization entirely.
+  /// The engine's pattern interner: DetectMatrix/DetectPairs reads are
+  /// refs into it, and updates bound to it (UpdateOp::Bind) skip per-call
+  /// interning entirely.
   const std::shared_ptr<PatternStore>& pattern_store() const { return store_; }
 
   /// Cache key for a (read, update) pair under this engine's store.
@@ -209,16 +204,16 @@ class BatchConflictDetector {
   std::shared_ptr<PatternStore> store_;
   std::unique_ptr<ThreadPool> pool_;
   std::unordered_map<BatchPairKey, CacheEntry, BatchPairKeyHash> cache_;
-  /// Bumped at the start of every (ref-overload) DetectPairs call.
+  /// Bumped at the start of every DetectPairs call.
   uint64_t generation_ = 0;
   BatchStats stats_;
   /// Debug tripwire for the class's single-caller contract (cache_,
   /// generation_ and stats_ are unsynchronized on purpose — the Engine
-  /// facade serializes on batch_mu_ above this layer). Every public entry
-  /// point funnels into the ref-overload DetectPairs exactly once, which
-  /// holds this count up while it runs; a nonzero count on entry means two
-  /// callers are inside the engine at once and is DCHECK-failed rather
-  /// than left to corrupt the memo cache silently.
+  /// facade serializes on batch_mu_ above this layer). Both public entry
+  /// points funnel into DetectPairs exactly once, which holds this count
+  /// up while it runs; a nonzero count on entry means two callers are
+  /// inside the engine at once and is DCHECK-failed rather than left to
+  /// corrupt the memo cache silently.
   std::atomic<int> active_calls_{0};
 };
 

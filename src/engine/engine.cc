@@ -89,9 +89,10 @@ void Engine::CheckNotOnPoolWorker(const char* entry_point) const {
 
 std::vector<SharedConflictResult> Engine::DetectMatrix(
     const std::vector<Pattern>& reads, const std::vector<UpdateOp>& updates) {
-  CheckNotOnPoolWorker("DetectMatrix");
-  MutexLock lock(batch_mu_);
-  return batch_->DetectMatrix(reads, updates);
+  std::vector<PatternRef> refs;
+  refs.reserve(reads.size());
+  for (const Pattern& read : reads) refs.push_back(store_->Intern(read));
+  return DetectMatrix(refs, updates);
 }
 
 std::vector<SharedConflictResult> Engine::DetectMatrix(
@@ -141,12 +142,9 @@ LintResult Engine::Lint(const Program& program, const LintRunOptions& run) {
 DependenceAnalysisResult Engine::AnalyzeDependences(const Program& program) {
   CheckNotOnPoolWorker("AnalyzeDependences");
   MutexLock lock(batch_mu_);
-  if (dependence_ == nullptr) {
-    BatchDetectorOptions dependence_options = options_.batch;
-    dependence_options.store = store_;
-    dependence_ = std::make_unique<DependenceAnalyzer>(dependence_options);
-  }
-  return dependence_->Analyze(program);
+  // The engine's own matrix engine: same options, so its memo is sound to
+  // share, and batch_mu_ keeps the call single-caller.
+  return DependenceAnalyzer(batch_).Analyze(program);
 }
 
 obs::MetricsSnapshot Engine::MetricsSnapshot() const {

@@ -72,11 +72,15 @@ struct EngineOptions {
 ///     that pool, they must NOT be invoked from inside any ThreadPool
 ///     worker — doing so can deadlock the pool, so these entry points
 ///     CHECK-fail on re-entrant use from a worker thread.
+///   - AnalyzeDependences runs its one DependenceAnalyzer pass on the
+///     shared matrix engine itself (same options, same memo cache), which
+///     is why it serializes on batch_mu_ with the matrix calls.
 ///   - Lint is safe to call from any number of threads concurrently: each
-///     call builds its own Linter (own matrix engine, memo cache and pool)
-///     over the shared store, so it never takes batch_mu_. It blocks on
-///     that per-call pool, so it CHECK-fails inside a ThreadPool worker
-///     like the serialized entry points.
+///     call builds its own Linter — one DependenceAnalyzer with its own
+///     matrix engine, memo cache and pool — over the shared store, so it
+///     never takes batch_mu_. It blocks on that per-call pool, so it
+///     CHECK-fails inside a ThreadPool worker like the serialized entry
+///     points.
 ///   - A Session is single-writer (as MaintainedConflictMatrix is), but
 ///     distinct sessions may be driven from distinct threads concurrently:
 ///     each session owns a private inline matrix engine over the shared
@@ -133,7 +137,9 @@ class Engine {
   /// --- Batched detection (serialized on the shared matrix engine) ---
 
   /// Full N×M matrix / sparse pair set, with memoization across calls.
-  /// Layout and determinism guarantees are BatchConflictDetector's.
+  /// Layout and determinism guarantees are BatchConflictDetector's. The
+  /// Pattern overload interns the reads into store() (thread-safe, outside
+  /// batch_mu_) and then takes the ref path.
   std::vector<SharedConflictResult> DetectMatrix(
       const std::vector<Pattern>& reads, const std::vector<UpdateOp>& updates)
       XMLUP_EXCLUDES(batch_mu_);
@@ -200,8 +206,10 @@ class Engine {
   }
 
   /// Pairwise data-dependence analysis over a program (the §1 compiler
-  /// scenario). Serialized on the engine mutex; the analyzer's memo cache
-  /// warms across calls.
+  /// scenario), run on the shared matrix engine: serialized on the engine
+  /// mutex, and its pairs hit (and warm) the same memo cache as
+  /// DetectMatrix/DetectPairs. The result's batch_stats are that engine's
+  /// cumulative counters.
   DependenceAnalysisResult AnalyzeDependences(const Program& program)
       XMLUP_EXCLUDES(batch_mu_);
 
@@ -212,7 +220,7 @@ class Engine {
   /// Cumulative pair/cache counters of the shared matrix engine.
   BatchStats batch_stats() const;
   /// The shared matrix engine. Callers taking this accept its
-  /// single-caller-at-a-time contract (the facade's DetectMatrix/Lint
+  /// single-caller-at-a-time contract (the facade's batch_mu_
   /// serialization no longer protects them).
   BatchConflictDetector& batch() { return *batch_; }
   const std::shared_ptr<BatchConflictDetector>& shared_batch() const {
@@ -234,13 +242,11 @@ class Engine {
   std::shared_ptr<PatternStore> store_;
   std::shared_ptr<BatchConflictDetector> batch_;
   /// Serializes DetectMatrix/DetectPairs/AnalyzeDependences over the
-  /// shared single-caller components. Lock-ordering rule: batch_mu_ is
+  /// shared single-caller batch_. Lock-ordering rule: batch_mu_ is
   /// acquired before any lock below it (the store mutex, shard mutexes,
   /// the pool mutex) and never the other way around — no code path that
   /// holds a lower-layer lock calls back into the Engine.
   Mutex batch_mu_;
-  /// Lazily built on first AnalyzeDependences.
-  std::unique_ptr<DependenceAnalyzer> dependence_ XMLUP_GUARDED_BY(batch_mu_);
 };
 
 }  // namespace xmlup

@@ -126,6 +126,70 @@ TEST_F(AnalysisTest, UpdateUpdateStaysOrderedWithoutCertificate) {
   EXPECT_EQ(analyzer.Analyze(program).dependences.size(), 1u);
 }
 
+TEST_F(AnalysisTest, DependenceKindsAndCounts) {
+  // A conflict, an uncertified update pair (the first insert creates the b
+  // nodes the second fires on) and a malformed root delete, in one pass.
+  Program program;
+  program.AddInsert("x", Xp("a", symbols_), Content("<b/>"));
+  program.AddRead("y", "x", Xp("a//b", symbols_));
+  program.AddInsert("x", Xp("a/b", symbols_), Content("<c/>"));
+  program.AddDelete("x", Xp("a", symbols_));  // selects the root
+  DependenceAnalyzer analyzer;
+  const DependenceAnalysisResult result = analyzer.Analyze(program);
+  EXPECT_EQ(result.malformed, (std::vector<size_t>{3}));
+  // Read 1 against inserts 0 and 2; the delete is never routed.
+  EXPECT_EQ(result.read_update_pairs, 2u);
+  EXPECT_EQ(result.update_pairs, 1u);  // (0, 2); pairs with 3 are malformed
+
+  ASSERT_TRUE(result.Depends(0, 1));
+  ASSERT_TRUE(result.Depends(0, 2));
+  EXPECT_FALSE(result.Depends(1, 0));
+  for (const Dependence& d : result.dependences) {
+    if (d.from == 0 && d.to == 1) {
+      EXPECT_EQ(d.kind, DependenceKind::kConflict);
+      EXPECT_TRUE(d.detail.empty());
+    } else if (d.from == 0 && d.to == 2) {
+      EXPECT_EQ(d.kind, DependenceKind::kUncertifiedUpdates);
+      EXPECT_FALSE(d.detail.empty());
+    } else {
+      EXPECT_EQ(d.to, 3u) << d.from;
+      EXPECT_EQ(d.kind, DependenceKind::kMalformed) << d.from;
+    }
+  }
+  EXPECT_TRUE(result.Depends(0, 3) && result.Depends(1, 3) &&
+              result.Depends(2, 3));
+  // Sorted by (from, to): Depends() binary-searches this order.
+  for (size_t k = 1; k < result.dependences.size(); ++k) {
+    const Dependence& a = result.dependences[k - 1];
+    const Dependence& b = result.dependences[k];
+    EXPECT_TRUE(a.from < b.from || (a.from == b.from && a.to < b.to));
+  }
+}
+
+TEST_F(AnalysisTest, TruncatedVerdictIsAnUnknownDependence) {
+  // Branching read a[zz]/b against an insert of <c/> at the root: tree
+  // semantics needs the bounded search (paper bound 3), and max_nodes = 2
+  // truncates it.
+  Pattern read(symbols_);
+  const PatternNodeId root = read.CreateRoot(symbols_->Intern("a"));
+  read.AddChild(root, symbols_->Intern("zz"), Axis::kChild);
+  read.SetOutput(read.AddChild(root, symbols_->Intern("b"), Axis::kChild));
+  Program program;
+  program.AddRead("y", "x", read);
+  program.AddInsert("x", Xp("a", symbols_), Content("<c/>"));
+
+  DetectorOptions options;
+  options.semantics = ConflictSemantics::kTree;
+  options.search.max_nodes = 2;
+  const DependenceAnalysisResult truncated =
+      DependenceAnalyzer(options).Analyze(program);
+  ASSERT_EQ(truncated.dependences.size(), 1u);
+  EXPECT_EQ(truncated.dependences[0].kind, DependenceKind::kUnknown);
+
+  options.search.max_nodes = 3;
+  EXPECT_TRUE(DependenceAnalyzer(options).Analyze(program).dependences.empty());
+}
+
 TEST_F(AnalysisTest, CseAliasesRepeatedRead) {
   // The paper's functional example: the second read of the same pattern
   // can reuse the first result because the insert between them does not
@@ -139,6 +203,26 @@ TEST_F(AnalysisTest, CseAliasesRepeatedRead) {
   EXPECT_EQ(result.reads_aliased, 1u);
   ASSERT_TRUE(result.program.statements()[2].alias_of.has_value());
   EXPECT_EQ(*result.program.statements()[2].alias_of, 0u);
+}
+
+TEST_F(AnalysisTest, AliasCommonReadsUsesAGivenAnalysis) {
+  // The CSE step alone agrees with EliminateCommonReads on the same
+  // analysis.
+  Program program;
+  program.AddRead("y", "x", Xp("x/*/A", symbols_));
+  program.AddInsert("x", Xp("x/B", symbols_), Content("<C/>"));
+  program.AddRead("u", "x", Xp("x/*/A", symbols_));
+  program.AddRead("v", "x", Xp("x/*/A", symbols_));
+  const DependenceAnalysisResult analysis = DependenceAnalyzer().Analyze(program);
+  Program aliased = program;
+  EXPECT_EQ(Optimizer::AliasCommonReads(analysis, &aliased), 2u);
+  const OptimizeResult full = Optimizer().EliminateCommonReads(program);
+  ASSERT_EQ(full.reads_aliased, 2u);
+  for (size_t s = 0; s < program.size(); ++s) {
+    EXPECT_EQ(aliased.statements()[s].alias_of,
+              full.program.statements()[s].alias_of) << s;
+  }
+  EXPECT_EQ(aliased.statements()[3].alias_of, std::optional<size_t>(0));
 }
 
 TEST_F(AnalysisTest, CseBlockedByConflictingUpdate) {

@@ -60,6 +60,17 @@ class BatchDetectorTest : public ::testing::Test {
     return updates;
   }
 
+  /// Reads interned through the engine's store, in order (the engine takes
+  /// refs only).
+  static std::vector<PatternRef> Refs(BatchConflictDetector& engine,
+                                      const std::vector<Pattern>& reads) {
+    std::vector<PatternRef> refs;
+    for (const Pattern& read : reads) {
+      refs.push_back(engine.pattern_store()->Intern(read));
+    }
+    return refs;
+  }
+
   static BatchDetectorOptions Options(size_t threads, bool cache = true,
                                       bool minimize = true) {
     BatchDetectorOptions options;
@@ -95,7 +106,7 @@ TEST_F(BatchDetectorTest, MatrixHasRowMajorLayout) {
   const std::vector<Pattern> reads = Reads();
   const std::vector<UpdateOp> updates = Updates();
   BatchConflictDetector engine(Options(1));
-  const auto matrix = engine.DetectMatrix(reads, updates);
+  const auto matrix = engine.DetectMatrix(Refs(engine, reads), updates);
   ASSERT_EQ(matrix.size(), reads.size() * updates.size());
   for (const SharedConflictResult& cell : matrix) {
     ASSERT_NE(cell, nullptr);
@@ -111,8 +122,9 @@ TEST_F(BatchDetectorTest, OneThreadAndEightThreadsProduceIdenticalMatrices) {
   const std::vector<UpdateOp> updates = Updates();
   BatchConflictDetector one(Options(1));
   BatchConflictDetector eight(Options(8));
-  const auto fp1 = Fingerprint(one.DetectMatrix(reads, updates));
-  const auto fp8 = Fingerprint(eight.DetectMatrix(reads, updates));
+  const auto fp1 = Fingerprint(one.DetectMatrix(Refs(one, reads), updates));
+  const auto fp8 =
+      Fingerprint(eight.DetectMatrix(Refs(eight, reads), updates));
   ASSERT_EQ(fp1.size(), fp8.size());
   for (size_t k = 0; k < fp1.size(); ++k) {
     EXPECT_EQ(fp1[k], fp8[k]) << "cell " << k;
@@ -124,8 +136,9 @@ TEST_F(BatchDetectorTest, CacheOnAndOffProduceIdenticalVerdicts) {
   const std::vector<UpdateOp> updates = Updates();
   BatchConflictDetector cached(Options(2, /*cache=*/true));
   BatchConflictDetector uncached(Options(2, /*cache=*/false));
-  EXPECT_EQ(Fingerprint(cached.DetectMatrix(reads, updates)),
-            Fingerprint(uncached.DetectMatrix(reads, updates)));
+  EXPECT_EQ(
+      Fingerprint(cached.DetectMatrix(Refs(cached, reads), updates)),
+      Fingerprint(uncached.DetectMatrix(Refs(uncached, reads), updates)));
 }
 
 TEST_F(BatchDetectorTest, CachedResultsMatchFreshSinglePairCalls) {
@@ -136,7 +149,7 @@ TEST_F(BatchDetectorTest, CachedResultsMatchFreshSinglePairCalls) {
   const std::vector<UpdateOp> updates = Updates();
   const BatchDetectorOptions options = Options(4, true, /*minimize=*/false);
   BatchConflictDetector engine(options);
-  const auto matrix = engine.DetectMatrix(reads, updates);
+  const auto matrix = engine.DetectMatrix(Refs(engine, reads), updates);
   ASSERT_GT(engine.stats().cache_hits, 0u);  // workload repeats patterns
   auto fresh_store = std::make_shared<PatternStore>(
       reads[0].symbols(), PatternStoreOptions{/*minimize=*/false});
@@ -158,7 +171,7 @@ TEST_F(BatchDetectorTest, CacheAccountingAddsUp) {
   const std::vector<Pattern> reads = Reads();
   const std::vector<UpdateOp> updates = Updates();
   BatchConflictDetector engine(Options(2));
-  engine.DetectMatrix(reads, updates);
+  engine.DetectMatrix(Refs(engine, reads), updates);
   const BatchStats& stats = engine.stats();
   EXPECT_EQ(stats.pairs_total, reads.size() * updates.size());
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.pairs_total);
@@ -168,13 +181,13 @@ TEST_F(BatchDetectorTest, CacheAccountingAddsUp) {
 
   // A second identical batch is answered entirely from the cache.
   const uint64_t solved_before = stats.unique_pairs_solved;
-  engine.DetectMatrix(reads, updates);
+  engine.DetectMatrix(Refs(engine, reads), updates);
   EXPECT_EQ(engine.stats().unique_pairs_solved, solved_before);
   EXPECT_EQ(engine.stats().cache_hits + engine.stats().cache_misses,
             engine.stats().pairs_total);
 
   engine.ClearCache();
-  engine.DetectMatrix(reads, updates);
+  engine.DetectMatrix(Refs(engine, reads), updates);
   EXPECT_EQ(engine.stats().unique_pairs_solved, 2 * solved_before);
   EXPECT_EQ(engine.stats().cache_hits + engine.stats().cache_misses,
             engine.stats().pairs_total);
@@ -184,7 +197,7 @@ TEST_F(BatchDetectorTest, CacheDisabledSolvesEveryPair) {
   const std::vector<Pattern> reads = Reads();
   const std::vector<UpdateOp> updates = Updates();
   BatchConflictDetector engine(Options(2, /*cache=*/false));
-  engine.DetectMatrix(reads, updates);
+  engine.DetectMatrix(Refs(engine, reads), updates);
   EXPECT_EQ(engine.stats().cache_hits, 0u);
   EXPECT_EQ(engine.stats().cache_misses, reads.size() * updates.size());
   EXPECT_EQ(engine.stats().unique_pairs_solved,
@@ -202,7 +215,7 @@ TEST_F(BatchDetectorTest, InlineModeSkipsSpanMergingPooledModeMerges) {
   const std::vector<UpdateOp> updates = Updates();
 
   BatchConflictDetector inline_engine(Options(1));
-  inline_engine.DetectMatrix(reads, updates);
+  inline_engine.DetectMatrix(Refs(inline_engine, reads), updates);
   EXPECT_EQ(recorder.merge_count(), 0u);
   // Inline solves still produced per-pair spans, just without merging.
   size_t inline_solve_spans = 0;
@@ -212,7 +225,7 @@ TEST_F(BatchDetectorTest, InlineModeSkipsSpanMergingPooledModeMerges) {
   EXPECT_EQ(inline_solve_spans, inline_engine.stats().unique_pairs_solved);
 
   BatchConflictDetector pooled(Options(4));
-  pooled.DetectMatrix(reads, updates);
+  pooled.DetectMatrix(Refs(pooled, reads), updates);
   EXPECT_EQ(recorder.merge_count(), 1u);
 
   recorder.set_enabled(false);
@@ -240,11 +253,11 @@ TEST_F(BatchDetectorTest, SparsePairsAlignWithRequest) {
   const std::vector<ReadUpdatePair> pairs = {
       {0, 1}, {3, 3}, {0, 1}, {9, 4}};
   BatchConflictDetector engine(Options(2));
-  const auto sparse = engine.DetectPairs(reads, updates, pairs);
+  const auto sparse = engine.DetectPairs(Refs(engine, reads), updates, pairs);
   ASSERT_EQ(sparse.size(), pairs.size());
   // Duplicate request resolves to the shared cached object.
   EXPECT_EQ(sparse[0], sparse[2]);
-  const auto full = engine.DetectMatrix(reads, updates);
+  const auto full = engine.DetectMatrix(Refs(engine, reads), updates);
   for (size_t k = 0; k < pairs.size(); ++k) {
     const auto& cell =
         full[pairs[k].read_index * updates.size() + pairs[k].update_index];
@@ -269,7 +282,7 @@ TEST_F(BatchDetectorTest, InterningIsPerPatternNotPerPair) {
 
   BatchConflictDetector engine(Options(2));
   const uint64_t before = misses.value();
-  engine.DetectMatrix(reads, updates);
+  engine.DetectMatrix(Refs(engine, reads), updates);
   const uint64_t first_call = misses.value() - before;
   EXPECT_GT(first_call, 0u);
   EXPECT_LE(first_call, distinct_inputs);
@@ -277,30 +290,21 @@ TEST_F(BatchDetectorTest, InterningIsPerPatternNotPerPair) {
   EXPECT_GE(first_call, engine.pattern_store()->size());
 
   // Warm store: zero misses no matter how many pairs the call asks for.
-  engine.DetectMatrix(reads, updates);
+  engine.DetectMatrix(Refs(engine, reads), updates);
   EXPECT_EQ(misses.value() - before, first_call);
 }
 
-TEST_F(BatchDetectorTest, InjectedStoreIsSharedAndRefOverloadsAgree) {
+TEST_F(BatchDetectorTest, InjectedStoreIsSharedAcrossEngines) {
   auto store = std::make_shared<PatternStore>(symbols_);
   BatchDetectorOptions options = Options(2);
   options.store = store;
   BatchConflictDetector engine(options);
   ASSERT_EQ(engine.pattern_store(), store);
 
-  const std::vector<Pattern> reads = Reads();
   std::vector<UpdateOp> updates;
   for (const UpdateOp& op : Updates()) updates.push_back(op.Bind(store));
-  std::vector<PatternRef> read_refs;
-  for (const Pattern& read : reads) read_refs.push_back(store->Intern(read));
-
-  const auto by_value = engine.DetectMatrix(reads, Updates());
+  const std::vector<PatternRef> read_refs = Refs(engine, Reads());
   const auto by_ref = engine.DetectMatrix(read_refs, updates);
-  EXPECT_EQ(Fingerprint(by_value), Fingerprint(by_ref));
-  // Identical canonical pairs resolve to the very same shared result.
-  for (size_t k = 0; k < by_value.size(); ++k) {
-    EXPECT_EQ(by_value[k], by_ref[k]) << "cell " << k;
-  }
 
   // A second engine over the same store reuses the interned patterns (no
   // new misses) while keeping its own result cache.
@@ -320,8 +324,9 @@ TEST_F(BatchDetectorTest, BoundedCacheEvictsButNeverChangesVerdicts) {
   options.max_cache_entries = 4;
   BatchConflictDetector bounded(options);
   BatchConflictDetector unbounded(Options(2));
-  EXPECT_EQ(Fingerprint(bounded.DetectMatrix(reads, updates)),
-            Fingerprint(unbounded.DetectMatrix(reads, updates)));
+  EXPECT_EQ(
+      Fingerprint(bounded.DetectMatrix(Refs(bounded, reads), updates)),
+      Fingerprint(unbounded.DetectMatrix(Refs(unbounded, reads), updates)));
   const BatchStats& stats = bounded.stats();
   EXPECT_LE(bounded.cache_size(), 4u);
   EXPECT_GT(stats.cache_evictions, 0u);
@@ -332,7 +337,7 @@ TEST_F(BatchDetectorTest, BoundedCacheEvictsButNeverChangesVerdicts) {
 
   // A repeat call re-solves what was evicted — and only that.
   const uint64_t solved_before = stats.unique_pairs_solved;
-  bounded.DetectMatrix(reads, updates);
+  bounded.DetectMatrix(Refs(bounded, reads), updates);
   EXPECT_GT(bounded.stats().unique_pairs_solved, solved_before);
   EXPECT_EQ(bounded.stats().cache_hits + bounded.stats().cache_misses,
             bounded.stats().pairs_total);
@@ -345,9 +350,9 @@ TEST_F(BatchDetectorTest, EvictionIsLeastRecentlyUsedByGeneration) {
   BatchDetectorOptions options = Options(1);
   options.max_cache_entries = 2;
   BatchConflictDetector engine(options);
-  const std::vector<Pattern> reads = {Xp("a//b", symbols_),
-                                      Xp("b/c", symbols_),
-                                      Xp("x//y", symbols_)};
+  const std::vector<PatternRef> reads =
+      Refs(engine, {Xp("a//b", symbols_), Xp("b/c", symbols_),
+                    Xp("x//y", symbols_)});
   std::vector<UpdateOp> updates;
   updates.push_back(Insert("a/b", "<c/>"));
   auto pairs_for = [&](std::vector<size_t> read_idx) {
@@ -380,9 +385,9 @@ TEST_F(BatchDetectorTest, SameGenerationEvictionTieBreaksOnKeyOrder) {
   BatchDetectorOptions options = Options(1);
   options.max_cache_entries = 1;
   BatchConflictDetector engine(options);
-  const std::vector<Pattern> reads = {Xp("a//b", symbols_),
-                                      Xp("b/c", symbols_),
-                                      Xp("x//y", symbols_)};
+  const std::vector<PatternRef> reads =
+      Refs(engine, {Xp("a//b", symbols_), Xp("b/c", symbols_),
+                    Xp("x//y", symbols_)});
   std::vector<UpdateOp> updates;
   updates.push_back(Delete("a//c"));
   engine.DetectPairs(reads, updates, {{0, 0}, {1, 0}, {2, 0}});
@@ -403,7 +408,7 @@ TEST_F(BatchDetectorTest, KnownVerdictsSurviveTheBatchPath) {
   std::vector<UpdateOp> updates;
   updates.push_back(Insert("a", "<b/>"));
   BatchConflictDetector engine(Options(2));
-  const auto matrix = engine.DetectMatrix(reads, updates);
+  const auto matrix = engine.DetectMatrix(Refs(engine, reads), updates);
   ASSERT_TRUE(matrix[0]->ok());
   EXPECT_EQ((*matrix[0])->verdict, ConflictVerdict::kConflict);
   EXPECT_TRUE((*matrix[0])->witness.has_value());

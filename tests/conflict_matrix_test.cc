@@ -95,8 +95,12 @@ class ConflictMatrixTest : public ::testing::Test {
     ASSERT_EQ(matrix.num_reads(), reads.size());
     ASSERT_EQ(matrix.num_updates(), updates.size());
     BatchConflictDetector scratch(Options(1));
+    std::vector<PatternRef> read_refs;
+    for (const Pattern& read : reads) {
+      read_refs.push_back(scratch.pattern_store()->Intern(read));
+    }
     EXPECT_EQ(Fingerprint(matrix.RowMajor()),
-              Fingerprint(scratch.DetectMatrix(reads, updates)));
+              Fingerprint(scratch.DetectMatrix(read_refs, updates)));
   }
 
   /// K random edits applied in lockstep to a MaintainedConflictMatrix and

@@ -424,12 +424,14 @@ TEST(DetectHotCacheTest, BatchEngineMatchesSinglePairDetect) {
     return out;
   }();
 
+  std::vector<PatternRef> read_refs;
+  for (const Pattern& read : reads) read_refs.push_back(store->Intern(read));
   const std::vector<SharedConflictResult> cells =
-      engine.DetectMatrix(reads, updates);
+      engine.DetectMatrix(read_refs, updates);
   ASSERT_EQ(cells.size(), reads.size() * updates.size());
   for (size_t i = 0; i < reads.size(); ++i) {
     for (size_t j = 0; j < updates.size(); ++j) {
-      const PatternRef read_ref = store->Intern(reads[i]);
+      const PatternRef read_ref = read_refs[i];
       const UpdateOp bound = updates[j].Bind(store);
       const std::string label =
           "cell " + std::to_string(i) + "," + std::to_string(j);

@@ -112,6 +112,79 @@ TEST_F(EngineTest, DetectMatrixMatchesSingletonDetects) {
   }
 }
 
+TEST_F(EngineTest, DetectMatrixPatternAndRefOverloadsAgree) {
+  // The Pattern overload interns through the engine's store and takes the
+  // ref path: identical canonical pairs resolve to the very same shared
+  // result, whichever overload asked first.
+  const std::vector<Pattern> reads = {P("a//b"), P("a/b/c"), P("a[b]/c"),
+                                      P("a//b")};
+  const std::vector<UpdateOp> updates = {
+      UpdateOp::MakeInsert(P("a/b"), Content("<c/>")),
+      *UpdateOp::MakeDelete(P("a//c"))};
+  std::vector<PatternRef> read_refs;
+  for (const Pattern& read : reads) read_refs.push_back(engine_.Intern(read));
+  std::vector<UpdateOp> bound;
+  for (const UpdateOp& update : updates) bound.push_back(engine_.Bind(update));
+
+  const std::vector<SharedConflictResult> by_value =
+      engine_.DetectMatrix(reads, updates);
+  const std::vector<SharedConflictResult> by_ref =
+      engine_.DetectMatrix(read_refs, bound);
+  ASSERT_EQ(by_value.size(), by_ref.size());
+  for (size_t k = 0; k < by_value.size(); ++k) {
+    EXPECT_EQ(by_value[k], by_ref[k]) << "cell " << k;
+  }
+}
+
+TEST_F(EngineTest, AnalyzeDependencesRunsOnTheEngineMatrix) {
+  // One matrix engine: the analysis's read/update pairs are requests to
+  // the engine's own batch detector, and they hit the memo DetectMatrix
+  // filled.
+  Program program;
+  program.AddRead("y", "x", P("a/b"));
+  program.AddDelete("x", P("a/b"));
+  program.AddRead("z", "x", P("a//c"));
+  engine_.DetectMatrix({P("a/b"), P("a//c")},
+                       std::vector<UpdateOp>{*UpdateOp::MakeDelete(P("a/b"))});
+  const BatchStats before = engine_.batch_stats();
+  const DependenceAnalysisResult result = engine_.AnalyzeDependences(program);
+  EXPECT_EQ(result.read_update_pairs, 2u);
+  EXPECT_EQ(engine_.batch_stats().pairs_total - before.pairs_total, 2u);
+  EXPECT_EQ(engine_.batch_stats().cache_misses, before.cache_misses);
+  EXPECT_EQ(result.batch_stats.pairs_total, engine_.batch_stats().pairs_total);
+}
+
+TEST_F(EngineTest, LintCallsTheDetectorNoMoreThanAnalysis) {
+  // Lint's redundant-read, shadowed-update, race, truncation and partition
+  // passes all read one dependence analysis, so a cold lint makes no more
+  // detector calls than a cold AnalyzeDependences of the same program.
+  const std::shared_ptr<const Tree> content = Content("<d/>");
+  Program program;
+  program.AddRead("r", "x", P("a/b"));
+  program.AddRead("s", "x", P("a//d"));
+  program.AddRead("t", "x", P("a/b"));
+  program.AddInsert("x", P("a/c"), content);
+  program.AddInsert("x", P("a/e"), content);
+  program.AddDelete("x", P("a/b"));
+  EngineOptions tree_semantics;
+  tree_semantics.batch.detector.semantics = ConflictSemantics::kTree;
+  tree_semantics.batch.detector.build_witness = false;
+  obs::Counter& calls =
+      obs::MetricsRegistry::Default().GetCounter("detector.calls");
+
+  Engine analyzing(engine_.symbols(), tree_semantics);
+  uint64_t before = calls.value();
+  analyzing.AnalyzeDependences(program);
+  const uint64_t analysis_calls = calls.value() - before;
+
+  Engine linting(engine_.symbols(), tree_semantics);
+  before = calls.value();
+  const LintResult lint = linting.Lint(program);
+  EXPECT_EQ(lint.stats.pairs_checked, 9u);
+  EXPECT_GT(analysis_calls, 0u);
+  EXPECT_LE(calls.value() - before, analysis_calls);
+}
+
 TEST_F(EngineTest, CertifyCommuteAgreesWithFreeFunction) {
   const UpdateOp a = UpdateOp::MakeInsert(P("a"), Content("<x/>"));
   const UpdateOp b = *UpdateOp::MakeDelete(P("b/c"));

@@ -8,6 +8,7 @@
 
 #include "analysis/program_parser.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace xmlup {
@@ -326,14 +327,18 @@ TEST_F(LintTest, PartitionIsAPartitionAndRespectsEdges) {
 TEST_F(LintTest, ResultVarWawNeverReordersFinalWrite) {
   // Two reads into r0 on *different* tree variables: the dependence
   // analyzer sees no edge, but swapping them changes r0's final value.
+  // The delete conflicts with the second read, so it lands one level
+  // further down: the WAW edge and the analysis edge chain.
   Program program;
   program.AddRead("r0", "x", Xp("a/b", symbols_));
   program.AddRead("r0", "y", Xp("a/c", symbols_));
+  program.AddDelete("y", Xp("a/c", symbols_));
   const Linter linter;
   const LintResult result = linter.Lint(program);
-  ASSERT_EQ(result.partition.batches.size(), 2u);
+  ASSERT_EQ(result.partition.batches.size(), 3u);
   EXPECT_EQ(result.partition.batches[0], (std::vector<size_t>{0}));
   EXPECT_EQ(result.partition.batches[1], (std::vector<size_t>{1}));
+  EXPECT_EQ(result.partition.batches[2], (std::vector<size_t>{2}));
 }
 
 TEST_F(LintTest, LintIsDeterministicAcrossThreadCounts) {
@@ -352,6 +357,49 @@ TEST_F(LintTest, LintIsDeterministicAcrossThreadCounts) {
   const LintResult r1 = Linter(one).Lint(program);
   const LintResult r8 = Linter(eight).Lint(program);
   EXPECT_EQ(RenderLintJson(program, r1), RenderLintJson(program, r8));
+}
+
+/// Six statements on one variable: three reads, two inserts, one delete —
+/// 9 read/update pairs, 3 update pairs, 6 distinct read/update problems.
+Program PairCountProgram(const std::shared_ptr<SymbolTable>& symbols) {
+  auto content = std::make_shared<const Tree>(Xml("<d/>", symbols));
+  Program program;
+  program.AddRead("r", "x", Xp("a/b", symbols));
+  program.AddRead("s", "x", Xp("a//d", symbols));
+  program.AddRead("t", "x", Xp("a/b", symbols));
+  program.AddInsert("x", Xp("a/c", symbols), content);
+  program.AddInsert("x", Xp("a/e", symbols), content);
+  program.AddDelete("x", Xp("a/b", symbols));
+  return program;
+}
+
+TEST_F(LintTest, OneLintSolvesEachPairOnce) {
+  // Every pass reads one dependence analysis: the batch layer (counted
+  // process-wide, whichever engine serves it) sees each read/update pair
+  // once per Lint call.
+  const Program program = PairCountProgram(symbols_);
+  obs::Counter& requested =
+      obs::MetricsRegistry::Default().GetCounter("batch.pairs_total");
+  const Linter linter;
+  const uint64_t before = requested.value();
+  const LintResult result = linter.Lint(program);
+  EXPECT_EQ(result.stats.pairs_checked, 9u);
+  EXPECT_EQ(result.stats.update_pairs_checked, 3u);
+  EXPECT_EQ(requested.value() - before, result.stats.pairs_checked);
+}
+
+TEST_F(LintTest, SecondLintOfSameProgramSolvesNothing) {
+  // The one analyzer's memo warms across calls: a repeat lint is answered
+  // entirely from it, with byte-identical output.
+  const Program program = PairCountProgram(symbols_);
+  obs::Counter& misses =
+      obs::MetricsRegistry::Default().GetCounter("batch.cache_misses");
+  const Linter linter;
+  const LintResult first = linter.Lint(program);
+  const uint64_t before = misses.value();
+  const LintResult second = linter.Lint(program);
+  EXPECT_EQ(misses.value() - before, 0u);
+  EXPECT_EQ(RenderLintJson(program, first), RenderLintJson(program, second));
 }
 
 TEST_F(LintTest, ApplyFixItRejectsMismatches) {
