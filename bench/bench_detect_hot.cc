@@ -1,16 +1,14 @@
-// Hot-path detection ablation for the compiled-automata cache: the same
-// read×update matrix solved three ways —
-//   cold      the value linear detectors (every read is linear): per-call
-//             regex build + Thompson construction, no store;
-//   warm_nfa  ref Detect with the product cache disabled: compiled NFAs
-//             come from PatternStore::compiled, products are recomputed;
-//   warm      ref Detect, fully cached: compiled NFAs + memoized
-//             intersection products.
-// The harness times all three, checks the verdicts are identical, and
-// writes "detect_hot" (pairs, per-pair microseconds, speedups,
-// verdicts_identical) into BENCH_detect_hot.json next to the obs
-// counters (store.nfa.*, detector.product_cache.*); CI asserts
-// speedup >= 5 and the cache accounting invariants.
+// Hot-path detection ablation: the same read×update matrix solved two
+// ways —
+//   cold  the value linear detectors (every read is linear): the paper's
+//         construction, per-call regex build + Thompson NFAs + product
+//         BFS, no store;
+//   warm  ref Detect: compiled patterns from PatternStore::compiled,
+//         matched by the §4.1 dynamic program.
+// The harness times both, checks the verdicts are identical, and writes
+// "detect_hot" (pairs, per-pair microseconds, speedup, verdicts_identical)
+// into BENCH_detect_hot.json next to the obs counters (store.nfa.*);
+// CI asserts speedup >= 5 and the store cache counters.
 
 #include <algorithm>
 #include <chrono>
@@ -21,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "automata/nfa_ops.h"
 #include "bench/bench_util.h"
 #include "benchmark/benchmark.h"
 #include "conflict/detector.h"
@@ -37,10 +34,10 @@ namespace {
 constexpr size_t kReads = 24;
 constexpr size_t kUpdatesPerKind = 6;
 
-/// Verdict-only options: witness construction mints fresh labels and
-/// re-runs the Lemma 1 checker per conflicting pair, which would swamp
-/// the automata cost this bench isolates. All three phases use the same
-/// options, so the comparison stays apples-to-apples.
+/// Verdict-only options: witness construction re-runs the Lemma 1
+/// checker per conflicting pair, which would swamp the matching cost this
+/// bench isolates. Both phases use the same options, so the comparison
+/// stays apples-to-apples.
 DetectorOptions HotOptions() {
   DetectorOptions options;
   options.build_witness = false;
@@ -97,10 +94,10 @@ uint64_t PassCold(const Workload& w, const DetectorOptions& options,
           update.kind() == UpdateOp::Kind::kInsert
               ? DetectLinearReadInsertConflict(
                     read_pattern, update.pattern(), update.content(),
-                    options.semantics, options.matcher, options.build_witness)
-              : DetectLinearReadDeleteConflict(
-                    read_pattern, update.pattern(), options.semantics,
-                    options.matcher, options.build_witness);
+                    options.semantics, options.build_witness)
+              : DetectLinearReadDeleteConflict(read_pattern, update.pattern(),
+                                               options.semantics,
+                                               options.build_witness);
       if (r.ok()) {
         ++solved;
         if (verdicts) verdicts->push_back(r->verdict);
@@ -110,7 +107,7 @@ uint64_t PassCold(const Workload& w, const DetectorOptions& options,
   return solved;
 }
 
-/// One full matrix pass through the ref facade (compiled automata).
+/// One full matrix pass through the ref facade (compiled patterns).
 uint64_t PassCached(const Workload& w, const DetectorOptions& options,
                     std::vector<ConflictVerdict>* verdicts) {
   uint64_t solved = 0;
@@ -140,7 +137,7 @@ BENCHMARK(BM_DetectColdValuePath)->Unit(benchmark::kMicrosecond);
 void BM_DetectWarmCachedPath(benchmark::State& state) {
   const Workload w = MakeWorkload();
   const DetectorOptions options = HotOptions();
-  PassCached(w, options, nullptr);  // compile + fill the product cache
+  PassCached(w, options, nullptr);  // compile every store entry
   for (auto _ : state) {
     benchmark::DoNotOptimize(PassCached(w, options, nullptr));
   }
@@ -149,24 +146,18 @@ void BM_DetectWarmCachedPath(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectWarmCachedPath)->Unit(benchmark::kMicrosecond);
 
-/// Harness-timed cold/warm-NFA/warm ablation — the acceptance numbers for
+/// Harness-timed cold/warm ablation — the acceptance numbers for
 /// BENCH_detect_hot.json. Best-of-reps per phase to shrug off scheduler
-/// noise; verdict vectors from the three paths are compared elementwise.
+/// noise; the verdict vectors of the two paths are compared elementwise.
 std::string MeasureDetectHot() {
   const Workload w = MakeWorkload();
   const DetectorOptions options = HotOptions();
-  NfaProductCache& products = NfaProductCache::Default();
 
   // Verdict oracle: one pass per phase, orders identical by construction.
-  std::vector<ConflictVerdict> cold_verdicts, warm_nfa_verdicts,
-      warm_verdicts;
+  std::vector<ConflictVerdict> cold_verdicts, warm_verdicts;
   PassCold(w, options, &cold_verdicts);
-  products.set_enabled(false);
-  PassCached(w, options, &warm_nfa_verdicts);
-  products.set_enabled(true);
   PassCached(w, options, &warm_verdicts);
-  const bool verdicts_identical = cold_verdicts == warm_nfa_verdicts &&
-                                  cold_verdicts == warm_verdicts &&
+  const bool verdicts_identical = cold_verdicts == warm_verdicts &&
                                   cold_verdicts.size() == w.pairs();
 
   constexpr int kReps = 7;
@@ -186,28 +177,20 @@ std::string MeasureDetectHot() {
   // Cold: the value linear detectors rebuild regexes and NFAs per call.
   const double cold_s =
       time_best([&] { sink += PassCold(w, options, nullptr); });
-  // Warm NFA only: compiled automata reused, products recomputed per call.
-  products.set_enabled(false);
-  const double warm_nfa_s =
-      time_best([&] { sink += PassCached(w, options, nullptr); });
-  // Fully warm: automata + memoized products (populated above).
-  products.set_enabled(true);
+  // Warm: compiled patterns (built above), the dynamic program per match.
   const double warm_s =
       time_best([&] { sink += PassCached(w, options, nullptr); });
   benchmark::DoNotOptimize(sink);
 
-  const double speedup_nfa = cold_s / warm_nfa_s;
   const double speedup = cold_s / warm_s;
   char buffer[512];
   snprintf(buffer, sizeof(buffer),
            "\"detect_hot\":{\"pairs\":%zu,\"cold_us\":%.3f,"
-           "\"warm_nfa_us\":%.3f,\"warm_us\":%.3f,\"speedup_nfa\":%.2f,"
-           "\"speedup\":%.2f,\"verdicts_identical\":%s}",
-           w.pairs(), cold_s * 1e6, warm_nfa_s * 1e6, warm_s * 1e6,
-           speedup_nfa, speedup, verdicts_identical ? "true" : "false");
-  std::cerr << "detect_hot speedup: " << speedup << "x warm (" << speedup_nfa
-            << "x NFA-only); per pair cold " << cold_s * 1e6 << " us, warm "
-            << warm_s * 1e6 << " us; verdicts "
+           "\"warm_us\":%.3f,\"speedup\":%.2f,\"verdicts_identical\":%s}",
+           w.pairs(), cold_s * 1e6, warm_s * 1e6, speedup,
+           verdicts_identical ? "true" : "false");
+  std::cerr << "detect_hot speedup: " << speedup << "x warm; per pair cold "
+            << cold_s * 1e6 << " us, warm " << warm_s * 1e6 << " us; verdicts "
             << (verdicts_identical ? "identical" : "DIVERGED") << "\n";
   return buffer;
 }

@@ -2,12 +2,14 @@
 // analyzer over generated straight-line programs, plus how much the warm
 // batch-engine memo cache buys when linting many programs that share
 // patterns (the compiler-frontend workload: one Linter, many translation
-// units). Branching patterns under a small search budget keep the
-// truncated-verdict share non-zero, so the soundness path is part of what
-// is measured.
+// units). The program generator draws linear patterns only, so the
+// corpus redraws its reads as branching patterns: under a small search
+// budget they keep the truncated-verdict share non-zero, so the soundness
+// path is part of what is measured.
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,8 @@
 #include "analysis/lint.h"
 #include "common/random.h"
 #include "obs/metrics.h"
+#include "pattern/pattern_writer.h"
+#include "workload/pattern_generator.h"
 #include "workload/program_generator.h"
 
 namespace xmlup {
@@ -44,9 +48,26 @@ std::vector<Program> MakePrograms() {
                               bench::Symbols()->Intern("b"),
                               bench::Symbols()->Intern("c")};
   RandomProgramGenerator gen(bench::Symbols(), options);
+  const RandomPatternGenerator reads(bench::Symbols(), options.pattern);
   Rng rng(4242);
+  Rng read_rng(4243);
   std::vector<Program> programs;
-  for (size_t i = 0; i < kPrograms; ++i) programs.push_back(gen.Generate(&rng));
+  for (size_t i = 0; i < kPrograms; ++i) {
+    Program program = gen.Generate(&rng);
+    // Redraw each read as a branching pattern; a repeated read gets the
+    // same redraw, so the CSE opportunities survive.
+    std::map<std::string, Pattern> redrawn;
+    for (Statement& statement : program.mutable_statements()) {
+      if (statement.kind != Statement::Kind::kRead) continue;
+      const std::string key = ToXPathString(statement.pattern);
+      auto it = redrawn.find(key);
+      if (it == redrawn.end()) {
+        it = redrawn.emplace(key, reads.GenerateBranching(&read_rng)).first;
+      }
+      statement.pattern = it->second;
+    }
+    programs.push_back(std::move(program));
+  }
   return programs;
 }
 

@@ -1,7 +1,8 @@
 // Experiment E3 (Theorem 1 / Corollary 1): read-delete conflict detection
 // for linear reads is polynomial in |R| and |D|, and a branching delete
 // costs the same as its mainline. Series: |R| sweep, |D| sweep, linear vs
-// branching delete, NFA vs DP matcher.
+// branching delete, the value detector (the paper's NFAs) vs the compiled
+// core (the dynamic-programming matcher the Detect pipeline runs).
 
 #include "benchmark/benchmark.h"
 #include "bench/bench_util.h"
@@ -29,13 +30,19 @@ Pattern RandomDelete(size_t size, uint64_t seed, bool branching) {
 
 void RunDetection(benchmark::State& state, size_t read_size,
                   size_t delete_size, bool branching_delete,
-                  MatcherKind matcher, bool build_witness = false) {
+                  bool compiled, bool build_witness = false) {
   const Pattern read = bench::RandomLinear(read_size, 23);
   const Pattern del = RandomDelete(delete_size, 29, branching_delete);
+  const CompiledPattern read_compiled(read);
+  const CompiledPattern del_compiled(del);
   size_t conflicts = 0;
   for (auto _ : state) {
-    auto result = DetectLinearReadDeleteConflict(
-        read, del, ConflictSemantics::kNode, matcher, build_witness);
+    auto result =
+        compiled ? DetectReadDeleteConflictCompiled(
+                       read_compiled, del_compiled, del,
+                       ConflictSemantics::kNode, build_witness)
+                 : DetectLinearReadDeleteConflict(
+                       read, del, ConflictSemantics::kNode, build_witness);
     conflicts += (result.ok() && result->conflict()) ? 1 : 0;
     benchmark::DoNotOptimize(conflicts);
   }
@@ -43,7 +50,7 @@ void RunDetection(benchmark::State& state, size_t read_size,
 
 void BM_ReadDelete_ReadSizeSweep(benchmark::State& state) {
   RunDetection(state, static_cast<size_t>(state.range(0)), 6, false,
-               MatcherKind::kNfa);
+               /*compiled=*/false);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ReadDelete_ReadSizeSweep)
@@ -53,7 +60,7 @@ BENCHMARK(BM_ReadDelete_ReadSizeSweep)
 
 void BM_ReadDelete_DeleteSizeSweep(benchmark::State& state) {
   RunDetection(state, 8, static_cast<size_t>(state.range(0)), false,
-               MatcherKind::kNfa);
+               /*compiled=*/false);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ReadDelete_DeleteSizeSweep)
@@ -63,7 +70,7 @@ BENCHMARK(BM_ReadDelete_DeleteSizeSweep)
 
 void BM_ReadDelete_LinearDelete(benchmark::State& state) {
   RunDetection(state, 8, static_cast<size_t>(state.range(0)), false,
-               MatcherKind::kNfa);
+               /*compiled=*/false);
 }
 BENCHMARK(BM_ReadDelete_LinearDelete)->RangeMultiplier(2)->Range(8, 64);
 
@@ -71,7 +78,7 @@ void BM_ReadDelete_BranchingDelete(benchmark::State& state) {
   // Corollary 1: only the mainline matters, so branching deletes of the
   // same size should cost no more.
   RunDetection(state, 8, static_cast<size_t>(state.range(0)), true,
-               MatcherKind::kNfa);
+               /*compiled=*/false);
 }
 BENCHMARK(BM_ReadDelete_BranchingDelete)->RangeMultiplier(2)->Range(8, 64);
 
@@ -80,7 +87,7 @@ void BM_ReadDelete_WithWitnessSynthesis(benchmark::State& state) {
   // full constructive pipeline (costlier: verification evaluates patterns
   // on the synthesized tree).
   RunDetection(state, static_cast<size_t>(state.range(0)), 6, false,
-               MatcherKind::kNfa, /*build_witness=*/true);
+               /*compiled=*/false, /*build_witness=*/true);
 }
 BENCHMARK(BM_ReadDelete_WithWitnessSynthesis)
     ->RangeMultiplier(2)
@@ -88,7 +95,7 @@ BENCHMARK(BM_ReadDelete_WithWitnessSynthesis)
 
 void BM_ReadDelete_DpMatcher(benchmark::State& state) {
   RunDetection(state, static_cast<size_t>(state.range(0)), 6, false,
-               MatcherKind::kDp);
+               /*compiled=*/true);
 }
 BENCHMARK(BM_ReadDelete_DpMatcher)->RangeMultiplier(2)->Range(4, 128);
 

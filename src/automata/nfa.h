@@ -59,17 +59,10 @@ class Nfa {
     return closure_by_state_.Row(s);
   }
 
-  /// Heap bytes of the three per-state indexes above.
-  size_t IndexBytes() const {
-    return by_state_.Bytes() + epsilon_by_state_.Bytes() +
-           closure_by_state_.Bytes();
-  }
-
  private:
   /// Compressed-sparse-row adjacency: row s is
-  /// data[offsets[s], offsets[s + 1]). Two flat arrays per index instead
-  /// of one heap block per state keeps every compiled pattern small while
-  /// a long-lived store holds thousands of them.
+  /// data[offsets[s], offsets[s + 1]): two flat arrays per index instead
+  /// of one heap block per state.
   struct Csr {
     std::vector<uint32_t> offsets;
     std::vector<uint32_t> data;
@@ -82,9 +75,6 @@ class Nfa {
     std::span<const uint32_t> Row(uint32_t s) const {
       return std::span<const uint32_t>(data).subspan(
           offsets[s], offsets[s + 1] - offsets[s]);
-    }
-    size_t Bytes() const {
-      return (offsets.capacity() + data.capacity()) * sizeof(uint32_t);
     }
   };
 

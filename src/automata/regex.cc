@@ -2,21 +2,6 @@
 
 namespace xmlup {
 
-bool IntersectClasses(const LabelClass& a, const LabelClass& b,
-                      LabelClass* out) {
-  if (a.any) {
-    *out = b;
-    return true;
-  }
-  if (b.any) {
-    *out = a;
-    return true;
-  }
-  if (a.label != b.label) return false;
-  *out = a;
-  return true;
-}
-
 Regex Regex::Epsilon() {
   Regex r;
   r.kind_ = Kind::kEpsilon;

@@ -5,31 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "match/label_class.h"
 #include "xml/symbol_table.h"
 
 namespace xmlup {
-
-/// A symbol class on an automaton transition or in a witness word: either
-/// one concrete label or "any label" (the paper's (.), which stands for any
-/// symbol of the restricted alphabet Σ_{l,l'}; treating it as "any label at
-/// all" is equivalent for intersection-emptiness because class intersection
-/// is computed symbolically).
-struct LabelClass {
-  bool any = false;
-  Label label = kInvalidLabel;
-
-  static LabelClass Any() { return {true, kInvalidLabel}; }
-  static LabelClass Of(Label l) { return {false, l}; }
-
-  bool operator==(const LabelClass& other) const {
-    return any == other.any && (any || label == other.label);
-  }
-};
-
-/// Symbolic intersection of two classes; returns false if empty, else
-/// writes the (most specific) intersection into `out`.
-bool IntersectClasses(const LabelClass& a, const LabelClass& b,
-                      LabelClass* out);
 
 /// Minimal regular-expression IR: exactly what the paper's construction
 /// R(n) needs (§4.1) — symbols, the any-symbol dot, concatenation and

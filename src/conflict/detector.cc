@@ -108,13 +108,12 @@ struct UpdateKindOps {
   Result<ConflictReport> Linear(const CompiledPattern& read,
                                 bool build_witness) const {
     if (content != nullptr) {
-      return DetectReadInsertConflictCompiled(
-          read, update_compiled, update, *content, options.semantics,
-          options.matcher, build_witness);
+      return DetectReadInsertConflictCompiled(read, update_compiled, update,
+                                              *content, options.semantics,
+                                              build_witness);
     }
     return DetectReadDeleteConflictCompiled(read, update_compiled, update,
-                                            options.semantics, options.matcher,
-                                            build_witness);
+                                            options.semantics, build_witness);
   }
 
   bool IsWitness(const Pattern& read, const Tree& t) const {
@@ -187,7 +186,7 @@ ConflictReport FromSearch(BruteForceResult search, size_t paper_bound,
 
 /// Stages 0-2 for one pair, shared by both update kinds. The linear path
 /// and the branching heuristic's mainline probe run on the store's
-/// compiled automata (the compiled read *is* its mainline chain, so one
+/// compiled patterns (the compiled read *is* its mainline chain, so one
 /// compiled core serves both); only the heuristic extension and the
 /// bounded search touch the stored pattern.
 Result<ConflictReport> RunPipeline(const PatternStore& store, PatternRef read,

@@ -19,7 +19,6 @@ class Dtd;
 
 struct DetectorOptions {
   ConflictSemantics semantics = ConflictSemantics::kNode;
-  MatcherKind matcher = MatcherKind::kNfa;
   /// Budget for the NP path (branching reads).
   BoundedSearchOptions search;
   /// Construct (and re-verify) a witness tree on kConflict verdicts.
@@ -66,12 +65,12 @@ std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
 /// is an interned pattern and `update` must be bound to the same `store`
 /// (the ref factories, UpdateOp::Bind or Engine::Bind); Engine::Detect
 /// binds on the caller's behalf. Detection runs on the store's
-/// pre-minimized patterns and compiled automata (PatternStore::compiled),
-/// with product results memoized in NfaProductCache::Default(). A staged
+/// pre-minimized patterns and compiled forms (PatternStore::compiled),
+/// matched by the §4.1 dynamic program (MatchCompiled). A staged
 /// verdict pipeline where each stage either returns a final report or
 /// hands the pair down:
 ///   - Stage 0 (only with options.dtd set): the schema-type disjointness
-///     filter — method kTypePruned, always kNoConflict, no automata work;
+///     filter — method kTypePruned, always kNoConflict, no matching work;
 ///   - Stage 1: dispatch on the read's shape — linear read: the complete
 ///     polynomial algorithms (Theorems 1-2, Corollaries 1-2), method
 ///     kLinearPtime, definitive verdict; branching read: the sound

@@ -44,8 +44,8 @@ Result<Tree> BuildNodeConflictWitness(const Pattern& read,
   }
   // A node-conflict witness need not witness a *value* conflict on the
   // same tree (the paper's Figure 3); the Lemma 2 construction uniquifies
-  // the result subtrees with fresh-labeled children.
-  const Label unique = read.symbols()->Fresh("uniq");
+  // the result subtrees with children carrying a label no input uses.
+  const Label unique = UnusedLabel("uniq", read, delete_pattern, nullptr);
   for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
   if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
     return witness;
@@ -68,9 +68,9 @@ Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
     return witness;
   }
   // Lemma 2 fallback for value semantics: uniquify the subtrees along the
-  // trunk with fresh-labeled children so that a modified result subtree
-  // cannot be isomorphic to an unmodified one.
-  const Label unique = read.symbols()->Fresh("uniq");
+  // trunk with children carrying a label no input uses, so that a modified
+  // result subtree cannot be isomorphic to an unmodified one.
+  const Label unique = UnusedLabel("uniq", read, delete_pattern, nullptr);
   for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
   if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
     return witness;
@@ -83,7 +83,7 @@ Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
 
 Result<ConflictReport> DetectLinearReadDeleteConflict(
     const Pattern& read, const Pattern& delete_pattern,
-    ConflictSemantics semantics, MatcherKind matcher, bool build_witness) {
+    ConflictSemantics semantics, bool build_witness) {
   if (!read.IsLinear()) {
     return Status::InvalidArgument(
         "read pattern must be linear (P^{//,*}) for polynomial detection");
@@ -103,11 +103,9 @@ Result<ConflictReport> DetectLinearReadDeleteConflict(
     const PatternNodeId n = read.parent(n_prime);
     MatchResult match;
     if (read.axis(n_prime) == Axis::kDescendant) {
-      match = MatchWeakly(mainline, ExtractSeq(read, read.root(), n), matcher);
+      match = MatchWeakly(mainline, ExtractSeq(read, read.root(), n));
     } else {
-      match =
-          MatchStrongly(mainline, ExtractSeq(read, read.root(), n_prime),
-                        matcher);
+      match = MatchStrongly(mainline, ExtractSeq(read, read.root(), n_prime));
     }
     if (!match.matches) continue;
     report.verdict = ConflictVerdict::kConflict;
@@ -130,7 +128,7 @@ Result<ConflictReport> DetectLinearReadDeleteConflict(
   // Tree / value semantics (equivalent for linear patterns, Lemma 2): a
   // conflict also exists when the deletion point can fall at-or-below a
   // read result, modifying the returned subtree.
-  MatchResult below = MatchWeakly(mainline, read, matcher);
+  MatchResult below = MatchWeakly(mainline, read);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (D weakly matches R)";
@@ -148,7 +146,7 @@ Result<ConflictReport> DetectLinearReadDeleteConflict(
 Result<ConflictReport> DetectReadDeleteConflictCompiled(
     const CompiledPattern& read, const CompiledPattern& del,
     const Pattern& delete_pattern, ConflictSemantics semantics,
-    MatcherKind matcher, bool build_witness) {
+    bool build_witness) {
   XMLUP_RETURN_NOT_OK(ValidateDeletePattern(delete_pattern));
 
   // The compiled read *is* the mainline chain; for a linear read this is
@@ -168,10 +166,10 @@ Result<ConflictReport> DetectReadDeleteConflictCompiled(
     MatchResult match;
     if (r.axis(n_prime) == Axis::kDescendant) {
       // Weak match against SEQ_ROOT^n (the parent's prefix).
-      match = MatchCompiled(del, read, k - 1, /*weak=*/true, matcher);
+      match = MatchCompiled(del, read, k - 1, /*weak=*/true);
     } else {
       // Strong match against SEQ_ROOT^n'.
-      match = MatchCompiled(del, read, k, /*weak=*/false, matcher);
+      match = MatchCompiled(del, read, k, /*weak=*/false);
     }
     if (!match.matches) continue;
     report.verdict = ConflictVerdict::kConflict;
@@ -191,8 +189,7 @@ Result<ConflictReport> DetectReadDeleteConflictCompiled(
 
   if (semantics == ConflictSemantics::kNode) return report;
 
-  MatchResult below = MatchCompiled(del, read, length - 1, /*weak=*/true,
-                                    matcher);
+  MatchResult below = MatchCompiled(del, read, length - 1, /*weak=*/true);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (D weakly matches R)";

@@ -29,27 +29,30 @@ namespace xmlup {
 /// re-validated with the Lemma 1 checker; a verification failure (a library
 /// bug) surfaces as an Internal error.
 /// Returns a ConflictReport with method == kLinearPtime and a definitive
-/// verdict (the linear algorithms are complete — never kUnknown).
+/// verdict (the linear algorithms are complete — never kUnknown). This
+/// value overload matches with the paper's construction (MatchStrongly /
+/// MatchWeakly: per-call regexes and Thompson NFAs) and is the reference
+/// the compiled core below is tested against.
 Result<ConflictReport> DetectLinearReadDeleteConflict(
     const Pattern& read, const Pattern& delete_pattern,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
-/// Compiled-form core: the same algorithm and reports as the value
-/// overload, running on pre-built automata (MatchCompiled + the product
-/// cache) instead of per-call Thompson constructions. `read` is scanned
-/// along its mainline chain — for a linear read that is the read itself;
-/// the detector's branching heuristic passes a branching read's compiled
-/// form to get the Mainline(read) answer. `delete_pattern` is the full
-/// stored delete (the witness construction grafts its branch models);
-/// `del` must be its compiled form. Verdict, method, detail and witness
-/// words are identical to the value overload on the same operands.
+/// Compiled-form core, the detection hot path: the same algorithm and
+/// reports as the value overload, running the §4.1 dynamic program
+/// (MatchCompiled) on the precompiled prefix patterns instead of the
+/// paper's per-call automata. `read` is scanned along its mainline chain —
+/// for a linear read that is the read itself; the detector's branching
+/// heuristic passes a branching read's compiled form to get the
+/// Mainline(read) answer. `delete_pattern` is the full stored delete (the
+/// witness construction grafts its branch models); `del` must be its
+/// compiled form. Verdict, method and detail are identical to the value
+/// overload on the same operands; witness words may differ, and every
+/// witness is re-verified.
 Result<ConflictReport> DetectReadDeleteConflictCompiled(
     const CompiledPattern& read, const CompiledPattern& del,
     const Pattern& delete_pattern,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
 }  // namespace xmlup

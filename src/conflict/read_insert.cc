@@ -25,9 +25,9 @@ Result<Tree> BuildCutEdgeWitness(const Pattern& read,
     return witness;
   }
   // Lemma 2: a node-conflict witness is upgraded to a value-conflict
-  // witness by giving every original node a fresh-labeled child (the new
-  // result inside X then has no isomorphic partner).
-  const Label unique = read.symbols()->Fresh("uniq");
+  // witness by giving every original node a child whose label no input
+  // uses (the new result inside X then has no isomorphic partner).
+  const Label unique = UnusedLabel("uniq", read, insert_pattern, &inserted);
   for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
   if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
                           semantics)) {
@@ -50,9 +50,10 @@ Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
                           semantics)) {
     return witness;
   }
-  // Lemma 2 fallback: uniquify subtrees with fresh-labeled children so a
-  // modified result cannot be value-equal to an unmodified one.
-  const Label unique = read.symbols()->Fresh("uniq");
+  // Lemma 2 fallback: uniquify subtrees with children carrying a label no
+  // input uses, so a modified result cannot be value-equal to an
+  // unmodified one.
+  const Label unique = UnusedLabel("uniq", read, insert_pattern, &inserted);
   for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
   if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
                           semantics)) {
@@ -66,7 +67,7 @@ Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
 
 Result<ConflictReport> DetectLinearReadInsertConflict(
     const Pattern& read, const Pattern& insert_pattern, const Tree& inserted,
-    ConflictSemantics semantics, MatcherKind matcher, bool build_witness) {
+    ConflictSemantics semantics, bool build_witness) {
   if (!read.IsLinear()) {
     return Status::InvalidArgument(
         "read pattern must be linear (P^{//,*}) for polynomial detection");
@@ -91,12 +92,12 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
     MatchResult match;
     bool suffix_ok = false;
     if (read.axis(n_prime) == Axis::kChild) {
-      match = MatchStrongly(mainline, prefix, matcher);
+      match = MatchStrongly(mainline, prefix);
       if (match.matches) {
         suffix_ok = EmbedsAt(suffix, inserted, inserted.root());
       }
     } else {
-      match = MatchWeakly(mainline, prefix, matcher);
+      match = MatchWeakly(mainline, prefix);
       if (match.matches) {
         suffix_ok = EmbedsAnywhereIn(suffix, inserted, inserted.root());
       }
@@ -120,7 +121,7 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
 
   // Tree / value semantics: an insertion at-or-below a read result
   // modifies the returned subtree (paper REMARKS after Theorem 2).
-  MatchResult below = MatchWeakly(mainline, read, matcher);
+  MatchResult below = MatchWeakly(mainline, read);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (I weakly matches R)";
@@ -138,7 +139,7 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
 Result<ConflictReport> DetectReadInsertConflictCompiled(
     const CompiledPattern& read, const CompiledPattern& ins,
     const Pattern& insert_pattern, const Tree& inserted,
-    ConflictSemantics semantics, MatcherKind matcher, bool build_witness) {
+    ConflictSemantics semantics, bool build_witness) {
   if (!inserted.has_root()) {
     return Status::InvalidArgument("inserted tree X is empty");
   }
@@ -159,13 +160,13 @@ Result<ConflictReport> DetectReadInsertConflictCompiled(
     MatchResult match;
     bool suffix_ok = false;
     if (r.axis(n_prime) == Axis::kChild) {
-      match = MatchCompiled(ins, read, k - 1, /*weak=*/false, matcher);
+      match = MatchCompiled(ins, read, k - 1, /*weak=*/false);
       if (match.matches) {
         suffix_ok =
             EmbedsAt(read.suffix_pattern(k), inserted, inserted.root());
       }
     } else {
-      match = MatchCompiled(ins, read, k - 1, /*weak=*/true, matcher);
+      match = MatchCompiled(ins, read, k - 1, /*weak=*/true);
       if (match.matches) {
         suffix_ok = EmbedsAnywhereIn(read.suffix_pattern(k), inserted,
                                      inserted.root());
@@ -188,8 +189,7 @@ Result<ConflictReport> DetectReadInsertConflictCompiled(
 
   if (semantics == ConflictSemantics::kNode) return report;
 
-  MatchResult below = MatchCompiled(ins, read, length - 1, /*weak=*/true,
-                                    matcher);
+  MatchResult below = MatchCompiled(ins, read, length - 1, /*weak=*/true);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (I weakly matches R)";

@@ -29,28 +29,30 @@ namespace xmlup {
 /// (Lemma 2). Witnesses are constructed per the proofs and re-validated
 /// with the Lemma 1 checker.
 /// Returns a ConflictReport with method == kLinearPtime and a definitive
-/// verdict (the linear algorithms are complete — never kUnknown).
+/// verdict (the linear algorithms are complete — never kUnknown). This
+/// value overload matches with the paper's construction (MatchStrongly /
+/// MatchWeakly: per-call regexes and Thompson NFAs) and is the reference
+/// the compiled core below is tested against.
 Result<ConflictReport> DetectLinearReadInsertConflict(
     const Pattern& read, const Pattern& insert_pattern, const Tree& inserted,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
-/// Compiled-form core: the same algorithm and reports as the value
-/// overload, running on pre-built automata (MatchCompiled + the product
-/// cache) and the precompiled prefix/suffix patterns instead of per-call
-/// Thompson constructions and ExtractSeq copies. `read` is scanned along
-/// its mainline chain — for a linear read that is the read itself; the
-/// detector's branching heuristic passes a branching read's compiled form
-/// to get the Mainline(read) answer. `insert_pattern` is the full stored
-/// insert (the witness construction grafts its branch models); `ins` must
-/// be its compiled form. Verdict, method, detail and witness words are
-/// identical to the value overload on the same operands.
+/// Compiled-form core, the detection hot path: the same algorithm and
+/// reports as the value overload, running the §4.1 dynamic program
+/// (MatchCompiled) on the precompiled prefix/suffix patterns instead of
+/// the paper's per-call automata and ExtractSeq copies. `read` is scanned
+/// along its mainline chain — for a linear read that is the read itself;
+/// the detector's branching heuristic passes a branching read's compiled
+/// form to get the Mainline(read) answer. `insert_pattern` is the full
+/// stored insert (the witness construction grafts its branch models);
+/// `ins` must be its compiled form. Verdict, method and detail are
+/// identical to the value overload on the same operands; witness words
+/// may differ, and every witness is re-verified.
 Result<ConflictReport> DetectReadInsertConflictCompiled(
     const CompiledPattern& read, const CompiledPattern& ins,
     const Pattern& insert_pattern, const Tree& inserted,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
 }  // namespace xmlup

@@ -24,9 +24,8 @@ namespace xmlup {
 
 /// Configuration of an Engine. One engine = one configuration: the
 /// detector options are fixed at construction because every cache in the
-/// stack below (the batch memo cache, the compiled-automata store, the
-/// product cache) assumes the verdict of a pattern pair is a function of
-/// the pair alone. Callers that need a second semantics build a second
+/// stack below (the batch memo cache, the compiled-pattern store) assumes
+/// the verdict of a pattern pair is a function of the pair alone. Callers that need a second semantics build a second
 /// Engine (they can share a SymbolTable).
 struct EngineOptions {
   /// Detector semantics/budget, worker threads, memoization and cache
@@ -41,13 +40,13 @@ struct EngineOptions {
   /// Must share the engine's SymbolTable (CHECK-failed at construction).
   /// Detection then becomes conservative under the schema: pairs with
   /// disjoint type footprints resolve to kNoConflict (method kTypePruned)
-  /// before any automata work — see DetectorOptions::dtd.
+  /// before any matching work — see DetectorOptions::dtd.
   std::shared_ptr<const Dtd> dtd;
 };
 
 /// The front door of the library: one object owning the shared state every
 /// layer below needs — the SymbolTable, the PatternStore (interned
-/// canonical patterns + compiled automata), the batch conflict-matrix
+/// canonical patterns + compiled forms), the batch conflict-matrix
 /// engine and its memo cache — and exposing the library's operations as
 /// methods: Detect, DetectMatrix, MakeSession, Lint, AnalyzeDependences,
 /// CertifyCommute.
@@ -84,8 +83,8 @@ struct EngineOptions {
 ///   - A Session is single-writer (as MaintainedConflictMatrix is), but
 ///     distinct sessions may be driven from distinct threads concurrently:
 ///     each session owns a private inline matrix engine over the shared
-///     store, so sessions share interned patterns and compiled automata
-///     without sharing a mutable memo cache.
+///     store, so sessions share interned and compiled patterns without
+///     sharing a mutable memo cache.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -122,9 +121,9 @@ class Engine {
   /// --- Single-pair detection (thread-safe hot path) ---
 
   /// Read/update conflict detection under the engine's options, on the
-  /// store's compiled automata with product memoization. An op bound to
-  /// this engine (Bind) is used as is; any other op is bound first, which
-  /// costs one Intern per call. The Pattern overload also interns the read.
+  /// store's compiled patterns. An op bound to this engine (Bind) is used
+  /// as is; any other op is bound first, which costs one Intern per call.
+  /// The Pattern overload also interns the read.
   Result<ConflictReport> Detect(PatternRef read, const UpdateOp& update) const;
   Result<ConflictReport> Detect(const Pattern& read,
                                 const UpdateOp& update) const;
@@ -199,7 +198,7 @@ class Engine {
 
   /// Lints a straight-line update program with the engine's detector
   /// configuration. Thread-safe and not serialized: concurrent calls share
-  /// only the store, which keeps compiled automata warm across calls.
+  /// only the store, which keeps compiled patterns warm across calls.
   LintResult Lint(const Program& program, const LintRunOptions& run);
   LintResult Lint(const Program& program) {
     return Lint(program, LintRunOptions());

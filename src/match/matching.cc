@@ -1,5 +1,7 @@
 #include "match/matching.h"
 
+#include "automata/nfa_ops.h"
+#include "automata/regex.h"
 #include "match/dp_matcher.h"
 #include "xml/tree_algos.h"
 
@@ -40,57 +42,21 @@ Regex LinearPatternToRegex(const Pattern& linear) {
   return r;
 }
 
-MatchResult MatchStrongly(const Pattern& l1, const Pattern& l2,
-                          MatcherKind kind) {
+MatchResult MatchStrongly(const Pattern& l1, const Pattern& l2) {
   XMLUP_CHECK(l1.IsLinear());
   XMLUP_CHECK(l2.IsLinear());
-  if (kind == MatcherKind::kDp) return MatchDp(l1, l2, /*weak=*/false);
   return MatchViaNfa(l1, l2, /*weak=*/false);
 }
 
-MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2,
-                        MatcherKind kind) {
+MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2) {
   XMLUP_CHECK(l1.IsLinear());
   XMLUP_CHECK(l2.IsLinear());
-  if (kind == MatcherKind::kDp) return MatchDp(l1, l2, /*weak=*/true);
   return MatchViaNfa(l1, l2, /*weak=*/true);
 }
 
 MatchResult MatchCompiled(const CompiledPattern& l1, const CompiledPattern& l2,
-                          size_t l2_prefix, bool weak, MatcherKind kind) {
-  if (kind == MatcherKind::kDp) {
-    return MatchDp(l1.mainline_pattern(), l2.prefix_pattern(l2_prefix), weak);
-  }
-  NfaProductCache& cache = NfaProductCache::Default();
-  std::optional<ClassWord> word =
-      weak ? cache.Intersect(l1.mainline_nfa(), l1.mainline_uid(),
-                             l2.prefix_weak_nfa(l2_prefix),
-                             l2.prefix_weak_uid(l2_prefix))
-           : cache.Intersect(l1.mainline_nfa(), l1.mainline_uid(),
-                             l2.prefix_nfa(l2_prefix),
-                             l2.prefix_uid(l2_prefix));
-  MatchResult result;
-  result.matches = word.has_value();
-  if (word.has_value()) result.witness_word = std::move(*word);
-  return result;
-}
-
-MatchResult MatchStrongly(const PatternStore& store, PatternRef l1,
-                          PatternRef l2, MatcherKind kind) {
-  XMLUP_CHECK_STREAM(store.linear(l1) && store.linear(l2))
-      << "ref matching requires linear patterns";
-  const CompiledPattern& c1 = store.compiled(l1);
-  const CompiledPattern& c2 = store.compiled(l2);
-  return MatchCompiled(c1, c2, c2.chain_length() - 1, /*weak=*/false, kind);
-}
-
-MatchResult MatchWeakly(const PatternStore& store, PatternRef l1,
-                        PatternRef l2, MatcherKind kind) {
-  XMLUP_CHECK_STREAM(store.linear(l1) && store.linear(l2))
-      << "ref matching requires linear patterns";
-  const CompiledPattern& c1 = store.compiled(l1);
-  const CompiledPattern& c2 = store.compiled(l2);
-  return MatchCompiled(c1, c2, c2.chain_length() - 1, /*weak=*/true, kind);
+                          size_t l2_prefix, bool weak) {
+  return MatchDp(l1.mainline_pattern(), l2.prefix_pattern(l2_prefix), weak);
 }
 
 Tree WordToPathTree(const ClassWord& word,

@@ -1,26 +1,14 @@
 #ifndef XMLUP_MATCH_MATCHING_H_
 #define XMLUP_MATCH_MATCHING_H_
 
-#include <optional>
-
-#include "automata/nfa_ops.h"
-#include "automata/regex.h"
+#include "match/label_class.h"
 #include "pattern/compiled_pattern.h"
 #include "pattern/pattern.h"
-#include "pattern/pattern_store.h"
 #include "xml/tree.h"
 
 namespace xmlup {
 
-/// Which implementation of weak/strong matching to use. Both are
-/// polynomial; kNfa is the paper's construction (regular expressions +
-/// language intersection, §4.1), kDp is the dynamic-programming algorithm
-/// the paper's REMARKS suggest. They are equivalence-tested against each
-/// other.
-enum class MatcherKind {
-  kNfa,
-  kDp,
-};
+class Regex;
 
 /// Result of a weak/strong matching query. When `matches` is true,
 /// `witness_word` holds the labels (symbol classes) of a root-to-deepest
@@ -33,7 +21,7 @@ struct MatchResult {
 
 /// The paper's R(n) construction (§4.1): the regular expression derived
 /// from a linear pattern — root symbol, `·sym` per child edge,
-/// `·(.)*·sym` per descendant edge.
+/// `·(.)*·sym` per descendant edge. Callers include automata/regex.h.
 Regex LinearPatternToRegex(const Pattern& linear);
 
 /// Definition 7. `l1` and `l2` must be linear patterns.
@@ -43,40 +31,22 @@ Regex LinearPatternToRegex(const Pattern& linear);
 /// Weak:   additionally allows E1(O(l1)) to be a *descendant* of E2(O(l2))
 ///         — L(r1) ∩ L(r2·(.)*) ≠ ∅. (Note the asymmetry: l1's output is
 ///         the deeper one.)
-MatchResult MatchStrongly(const Pattern& l1, const Pattern& l2,
-                          MatcherKind kind = MatcherKind::kNfa);
-MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2,
-                        MatcherKind kind = MatcherKind::kNfa);
-
-/// Ref-based entry points: both patterns are interned refs resolved
-/// against `store` (O(1) lookup of the pre-minimized forms). Matching is
-/// invariant under minimization (it is equivalence-preserving), so these
-/// agree with the value overloads on the original patterns. Both refs must
-/// denote linear patterns (PatternStore::linear()).
 ///
-/// These run on the store's compiled automata (PatternStore::compiled) and
-/// memoize product results in NfaProductCache::Default() — the answers are
-/// identical to the value overloads' (same regex construction, same BFS),
-/// just without the per-call rebuild.
-MatchResult MatchStrongly(const PatternStore& store, PatternRef l1,
-                          PatternRef l2, MatcherKind kind = MatcherKind::kNfa);
-MatchResult MatchWeakly(const PatternStore& store, PatternRef l1,
-                        PatternRef l2, MatcherKind kind = MatcherKind::kNfa);
+/// These run the paper's construction (regular expressions, Thompson
+/// NFAs, product emptiness; automata/) and are the reference the
+/// detection hot path (MatchCompiled, the §4.1 dynamic program) is tested
+/// against.
+MatchResult MatchStrongly(const Pattern& l1, const Pattern& l2);
+MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2);
 
-/// Compiled-form matching: `l1` contributes its full mainline automaton,
-/// `l2` the prefix at chain index `l2_prefix` — in the strong form
-/// R(prefix), or the weak form R(prefix)·(.)* when `weak` is set (the
-/// asymmetry of Definition 7: l1's output is the deeper one). With
-/// l2_prefix == l2.chain_length() - 1 this is exactly
-/// MatchStrongly/MatchWeakly(l1.mainline, l2.mainline).
-///
-/// kNfa consults NfaProductCache::Default() under the compiled uids, so
-/// repeated pairs skip the product BFS entirely; kDp runs the (pooled)
-/// dynamic-programming matcher on the compiled patterns. Witness words are
-/// byte-identical to the value matchers' for the same operands.
+/// Compiled-form matching, the detection hot path: `l1` contributes its
+/// mainline, `l2` the prefix at chain index `l2_prefix`, and the §4.1
+/// dynamic program (MatchDp) decides the strong match — or the weak one
+/// when `weak` is set (the asymmetry of Definition 7: l1's output is the
+/// deeper one). With l2_prefix == l2.chain_length() - 1 this decides
+/// exactly MatchStrongly/MatchWeakly(l1.mainline, l2.mainline).
 MatchResult MatchCompiled(const CompiledPattern& l1, const CompiledPattern& l2,
-                          size_t l2_prefix, bool weak,
-                          MatcherKind kind = MatcherKind::kNfa);
+                          size_t l2_prefix, bool weak);
 
 /// Materializes a witness word as a path tree, resolving Any classes to
 /// `filler`. The word must be non-empty.

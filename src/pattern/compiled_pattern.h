@@ -2,31 +2,18 @@
 #define XMLUP_PATTERN_COMPILED_PATTERN_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "automata/nfa.h"
 #include "pattern/pattern.h"
 
 namespace xmlup {
 
 /// The compile-once artifacts of one interned pattern: its mainline
 /// (SEQ_ROOT^O(p)) and, for every node on that chain, the prefix pattern
-/// SEQ_ROOT^chain[k] together with its Thompson NFA in both the strong
-/// form (R(prefix)) and the weak form (R(prefix)·(.)* — the l2 side of
-/// MatchWeakly). These are exactly the automata the linear conflict
-/// algorithms rebuild per Detect() call today; a PatternStore entry builds
-/// them once and every later ref-based call reuses them.
-///
-/// NFAs are constructed through the same LinearPatternToRegex + FromRegex
-/// pipeline the value matchers use, on patterns built by the same
-/// ExtractSeq — so a compiled automaton is structurally identical to the
-/// throwaway one and every downstream BFS is bit-for-bit the same search.
-///
-/// Each automaton carries a process-unique 64-bit uid (minted from a
-/// global monotone counter, never reused, never zero). The uid pair keys
-/// NfaProductCache: since the automata behind a uid are immutable, a
-/// cached product result is valid forever.
+/// SEQ_ROOT^chain[k] and the suffix pattern SEQ_chain[k]^O. These are
+/// exactly the operands the linear conflict algorithms extract per edge;
+/// a PatternStore entry builds them once and every later ref-based call
+/// hands them to the matcher (MatchCompiled) as they are.
 ///
 /// Immutable after construction; safe to share across threads.
 class CompiledPattern {
@@ -54,27 +41,8 @@ class CompiledPattern {
   /// SEQ_chain[k]^O of the mainline (suffix starting at chain[k]).
   const Pattern& suffix_pattern(size_t k) const { return suffixes_[k]; }
 
-  /// NFA of R(prefix_pattern(k)).
-  const Nfa& prefix_nfa(size_t k) const { return prefix_nfas_[k]; }
-  uint64_t prefix_uid(size_t k) const { return uid_base_ + 2 * k; }
-
-  /// NFA of R(prefix_pattern(k))·(.)* — the weak-match l2 form.
-  const Nfa& prefix_weak_nfa(size_t k) const { return prefix_weak_nfas_[k]; }
-  uint64_t prefix_weak_uid(size_t k) const { return uid_base_ + 2 * k + 1; }
-
-  /// The full mainline's automata (== prefix at chain_length()-1); this is
-  /// the l1 side of every match the linear detectors issue.
-  const Nfa& mainline_nfa() const { return prefix_nfa(chain_.size() - 1); }
-  uint64_t mainline_uid() const { return prefix_uid(chain_.size() - 1); }
-  const Nfa& mainline_weak_nfa() const {
-    return prefix_weak_nfa(chain_.size() - 1);
-  }
-  uint64_t mainline_weak_uid() const {
-    return prefix_weak_uid(chain_.size() - 1);
-  }
-
-  /// Retained-storage estimate (patterns + automata), for the
-  /// store.nfa.bytes counter.
+  /// Retained-storage estimate of the patterns, for the store.nfa.bytes
+  /// counter.
   size_t bytes() const { return bytes_; }
 
  private:
@@ -82,9 +50,6 @@ class CompiledPattern {
   std::vector<PatternNodeId> chain_;
   std::vector<Pattern> prefixes_;
   std::vector<Pattern> suffixes_;
-  std::vector<Nfa> prefix_nfas_;
-  std::vector<Nfa> prefix_weak_nfas_;
-  uint64_t uid_base_ = 0;
   size_t bytes_ = 0;
 };
 

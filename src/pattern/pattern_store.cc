@@ -10,7 +10,7 @@
 // pre-minimized forms for free.
 #include "conflict/minimize.h"
 // Type summaries (the Stage 0 footprints) are cached per entry the same way
-// compiled automata are; like the minimizer include above, this is the
+// compiled patterns are; like the minimizer include above, this is the
 // pattern module reaching upward so every consumer of the store shares one
 // summary per (pattern, schema).
 #include "dtd/type_summary.h"
@@ -41,7 +41,7 @@ struct StoreMetrics {
   }
 };
 
-/// Compiled-automata cache observability, aggregated across stores like
+/// Compiled-form cache observability, aggregated across stores like
 /// StoreMetrics. misses counts entries compiled (at most one per ref —
 /// the once-per-entry latch); hits counts requests served by an already
 /// compiled entry. Invariant: misses <= distinct refs ever compiled.

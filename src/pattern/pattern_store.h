@@ -130,8 +130,8 @@ class PatternStore {
   /// dispatch bit, precomputed at intern time).
   bool linear(PatternRef ref) const;
 
-  /// The compiled automata of the stored pattern (mainline chain, prefix
-  /// patterns, Thompson NFAs — see pattern/compiled_pattern.h), built
+  /// The compiled form of the stored pattern (mainline chain, prefix and
+  /// suffix patterns — see pattern/compiled_pattern.h), built
   /// lazily on first request and retained for the store's lifetime. The
   /// reference stays valid for the store's lifetime.
   ///
@@ -140,7 +140,9 @@ class PatternStore {
   /// store mutex so distinct entries compile in parallel. Reports
   /// `store.nfa.hits` (compiled form already present), `store.nfa.misses`
   /// (== entries compiled, at most one per ref) and `store.nfa.bytes`
-  /// (retained automata estimate) into obs::MetricsRegistry::Default().
+  /// (retained compiled-form estimate) into
+  /// obs::MetricsRegistry::Default(). The `nfa` in the names predates the
+  /// dynamic-programming matcher; they count compiled forms.
   const CompiledPattern& compiled(PatternRef ref) const;
 
   /// The schema-type summary of the stored pattern under `dtd` (the Stage 0
@@ -207,7 +209,7 @@ class PatternStore {
   /// count; readers acquire-load the count and reach any published entry
   /// with pure arithmetic — this keeps entry resolution off the mutex on
   /// the per-pair detection hot path (Stage 0 summary probes, compiled-
-  /// automata fetches).
+  /// form fetches).
   class EntryTable {
    public:
     /// Power of two; chunk c holds (kFirstChunkSize << c) entries, so 26

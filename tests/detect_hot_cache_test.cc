@@ -1,15 +1,15 @@
-// The compiled-automata hot path must be invisible except for speed: the
-// Detect pipeline (compiled NFAs from PatternStore::compiled + the
-// NfaProductCache) is checked against the reference of detect_oracle.h —
-// the value linear detectors field by field on linear reads, the Lemma 1
-// checker and a direct bounded search on branching reads — over an
-// exhaustive small-pattern sweep and randomized programs, and must be
-// deterministic under 8-way concurrency on one shared store. Also covers
-// the detector accounting invariant (calls == conflict + no_conflict +
-// unknown + errors, including unbound and foreign-store updates), the
-// store.nfa.* / detector.product_cache.* counter contracts, and the
-// centralized root-delete guard on every entry point (factories, value
-// and compiled detectors, batch engine).
+// The compiled hot path must be invisible except for speed: the Detect
+// pipeline (compiled patterns from PatternStore::compiled, matched by the
+// §4.1 dynamic program) is checked against the reference of
+// detect_oracle.h — the value linear detectors (the paper's automata)
+// field by field on linear reads, the Lemma 1 checker and a direct
+// bounded search on branching reads — over an exhaustive small-pattern
+// sweep and randomized programs, and must be deterministic under 8-way
+// concurrency on one shared store. Also covers the detector accounting
+// invariant (calls == conflict + no_conflict + unknown + errors,
+// including unbound and foreign-store updates), the store.nfa.* counter
+// contract, and the centralized root-delete guard on every entry point
+// (factories, value and compiled detectors, batch engine).
 
 #include <cstdint>
 #include <memory>
@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "automata/nfa_ops.h"
 #include "common/random.h"
 #include "conflict/batch_detector.h"
 #include "conflict/detector.h"
@@ -189,8 +188,7 @@ TEST(DetectHotCacheTest, ConcurrentSharedStoreDeterminism) {
 
   for (const size_t num_threads : {size_t{1}, size_t{8}}) {
     // A fresh store per thread count, shared by all its threads: every
-    // thread races the compiled() latches and the product cache on the
-    // same refs, and the 8-thread leg compiles every entry under
+    // thread races the compiled() latches on the same refs, and the 8-thread leg compiles every entry under
     // contention rather than reusing the 1-thread run's.
     auto store = std::make_shared<PatternStore>(symbols);
     const std::vector<UpdateOp> bound = BoundUpdates(store, symbols);
@@ -257,54 +255,9 @@ TEST(DetectHotCacheTest, StoreNfaCountersCountOneBuildPerEntry) {
             (kThreads - 1) * refs.size());
   EXPECT_GT(reg.GetCounter("store.nfa.bytes").value(), bytes_before);
 
-  // Compiled forms are stable (same object on re-request) and their uids
-  // are distinct across entries.
+  // Compiled forms are stable (same object on re-request).
   const CompiledPattern& again = store.compiled(refs[0]);
   EXPECT_EQ(&again, &store.compiled(refs[0]));
-  EXPECT_NE(store.compiled(refs[0]).mainline_uid(),
-            store.compiled(refs[1]).mainline_uid());
-}
-
-TEST(DetectHotCacheTest, ProductCacheAccountingAndWarmHits) {
-  auto symbols = NewSymbols();
-  auto store = std::make_shared<PatternStore>(symbols);
-  const std::vector<UpdateOp> updates = BoundUpdates(store, symbols);
-  std::vector<PatternRef> refs;
-  for (const char* spec : {"a//b", "a/b/c", "b//*", "a/a"}) {
-    refs.push_back(store->Intern(Xp(spec, symbols)));
-  }
-
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  auto lookups = [&] {
-    return reg.GetCounter("detector.product_cache.lookups").value();
-  };
-  auto hits = [&] {
-    return reg.GetCounter("detector.product_cache.hits").value();
-  };
-  auto misses = [&] {
-    return reg.GetCounter("detector.product_cache.misses").value();
-  };
-
-  const uint64_t l0 = lookups(), h0 = hits(), m0 = misses();
-  for (const PatternRef ref : refs) {
-    for (const UpdateOp& update : updates) {
-      ASSERT_TRUE(Detect(*store, ref, update).ok());
-    }
-  }
-  const uint64_t l1 = lookups(), h1 = hits(), m1 = misses();
-  EXPECT_EQ(l1 - l0, (h1 - h0) + (m1 - m0));
-  EXPECT_GT(m1 - m0, 0u);
-
-  // Second identical pass: every product was memoized — zero new misses.
-  for (const PatternRef ref : refs) {
-    for (const UpdateOp& update : updates) {
-      ASSERT_TRUE(Detect(*store, ref, update).ok());
-    }
-  }
-  const uint64_t l2 = lookups(), h2 = hits(), m2 = misses();
-  EXPECT_EQ(l2 - l1, h2 - h1);
-  EXPECT_EQ(m2 - m1, 0u);
-  EXPECT_EQ(l2 - l0, (h2 - h0) + (m2 - m0));
 }
 
 TEST(DetectHotCacheTest, DetectorAccountingInvariantIncludesErrors) {

@@ -4,8 +4,10 @@
 // Reference checks for the detector pipeline (conflict/detector.h) that do
 // not run the pipeline itself:
 //   - linear reads: the report must equal the value linear detectors'
-//     (read_insert.h / read_delete.h: per-call Thompson NFAs, no store, no
-//     product cache) on the stored operands, field by field;
+//     (read_insert.h / read_delete.h: the paper's per-call Thompson NFAs,
+//     no store) on the stored operands, field by field — so the pipeline's
+//     dynamic-programming matcher is checked against an independent
+//     implementation of Definition 7;
 //   - branching reads: a kConflict witness must pass the Lemma 1 checker;
 //     a kMainlineHeuristic report needs a conflict of the value linear
 //     detector on Mainline(read); a kBoundedSearch report must equal a
@@ -29,9 +31,10 @@ namespace xmlup {
 namespace testing_util {
 
 /// Field-by-field agreement on everything deterministic across calls.
-/// Witness *trees* are excluded: their construction may mint fresh labels
-/// ("uniq$n", or "wfill$n" when an input uses the reserved "wfill$"), so
-/// trees can differ textually between two runs —
+/// Witness *trees* are excluded: the two matchers may return different
+/// witness words, and the construction mints a fresh label when an input
+/// uses a reserved one ("wfill$", "uniq$", ...), so trees can differ
+/// textually between two runs —
 /// both sides' witnesses are re-verified by the Lemma 1 checkers inside
 /// the detectors, so presence is the right comparison here.
 inline void ExpectSameReport(const Result<ConflictReport>& want,
@@ -58,11 +61,10 @@ inline Result<ConflictReport> ValueLinearDetect(const Pattern& read,
   if (update.kind() == UpdateOp::Kind::kInsert) {
     return DetectLinearReadInsertConflict(read, update.pattern(),
                                           update.content(), options.semantics,
-                                          options.matcher, build_witness);
+                                          build_witness);
   }
   return DetectLinearReadDeleteConflict(read, update.pattern(),
-                                        options.semantics, options.matcher,
-                                        build_witness);
+                                        options.semantics, build_witness);
 }
 
 /// Checks `got` — Detect(store, read, update, options) — against the

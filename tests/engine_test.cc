@@ -388,6 +388,35 @@ TEST_F(EngineTest, RepeatedSearchesDoNotGrowTheSymbolTable) {
   EXPECT_EQ(engine_.symbols()->size(), symbols);
 }
 
+TEST_F(EngineTest, RepeatedValueWitnessesDoNotGrowTheSymbolTable) {
+  // Under value semantics the node-conflict witness of read a//b against
+  // insert a[b]/c with content <b/> is not yet a value conflict (the new b
+  // has an isomorphic partner from the grafted branch model), so every
+  // call takes the Lemma 2 upgrade, whose uniquifying label is the table's
+  // reserved one.
+  EngineOptions options;
+  options.batch.detector.semantics = ConflictSemantics::kValue;
+  Engine engine(options);
+  const Pattern read = Xp("a//b", engine.symbols());
+  const Pattern where = Xp("a[b]/c", engine.symbols());
+  auto content = std::make_shared<const Tree>(Xml("<b/>", engine.symbols()));
+  const PatternRef ref = engine.Intern(read);
+  const UpdateOp ins = engine.Bind(UpdateOp::MakeInsert(where, content));
+  Result<ConflictReport> first = engine.Detect(ref, ins);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->verdict, ConflictVerdict::kConflict);
+  ASSERT_TRUE(first->witness.has_value());
+  EXPECT_TRUE(IsReadInsertWitness(read, where, *content, *first->witness,
+                                  ConflictSemantics::kValue));
+  const size_t symbols = engine.symbols()->size();
+  for (int i = 0; i < 1000; ++i) {
+    Result<ConflictReport> again = engine.Detect(ref, ins);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(again->witness.has_value());
+  }
+  EXPECT_EQ(engine.symbols()->size(), symbols);
+}
+
 TEST_F(EngineTest, WitnessAvoidsAReservedLabelTheContentUses) {
   // Content carrying the reserved filler label (copied out of an earlier
   // witness, say) forces a fresh filler; the witness still verifies.

@@ -2,10 +2,13 @@
 
 #include <vector>
 
+#include "automata/regex.h"
 #include "common/random.h"
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "match/dp_matcher.h"
+#include "pattern/compiled_pattern.h"
+#include "pattern/pattern_ops.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
 #include "xml/tree_algos.h"
@@ -125,11 +128,11 @@ TEST_F(MatchingTest, DpMatcherAgreesOnHandCases) {
   for (const Case& c : cases) {
     Pattern l1 = Xp(c.l1, symbols_);
     Pattern l2 = Xp(c.l2, symbols_);
-    EXPECT_EQ(MatchStrongly(l1, l2, MatcherKind::kNfa).matches,
-              MatchStrongly(l1, l2, MatcherKind::kDp).matches)
+    EXPECT_EQ(MatchStrongly(l1, l2).matches,
+              MatchDp(l1, l2, /*weak=*/false).matches)
         << c.l1 << " strong " << c.l2;
-    EXPECT_EQ(MatchWeakly(l1, l2, MatcherKind::kNfa).matches,
-              MatchWeakly(l1, l2, MatcherKind::kDp).matches)
+    EXPECT_EQ(MatchWeakly(l1, l2).matches,
+              MatchDp(l1, l2, /*weak=*/true).matches)
         << c.l1 << " weak " << c.l2;
   }
 }
@@ -187,10 +190,9 @@ TEST_P(MatchingPropertyTest, NfaDpAndBruteForceAgree) {
     const Pattern l1 = gen.GenerateLinear(&rng);
     const Pattern l2 = gen.GenerateLinear(&rng);
     for (bool weak : {false, true}) {
-      const MatchResult nfa = weak ? MatchWeakly(l1, l2, MatcherKind::kNfa)
-                                   : MatchStrongly(l1, l2, MatcherKind::kNfa);
-      const MatchResult dp = weak ? MatchWeakly(l1, l2, MatcherKind::kDp)
-                                  : MatchStrongly(l1, l2, MatcherKind::kDp);
+      const MatchResult nfa =
+          weak ? MatchWeakly(l1, l2) : MatchStrongly(l1, l2);
+      const MatchResult dp = MatchDp(l1, l2, weak);
       const bool brute = BruteMatch(l1, l2, weak, brute_alphabet, symbols);
       EXPECT_EQ(nfa.matches, dp.matches) << "seed=" << GetParam();
       EXPECT_EQ(nfa.matches, brute) << "seed=" << GetParam();
@@ -203,6 +205,49 @@ TEST_P(MatchingPropertyTest, NfaDpAndBruteForceAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MatchingPropertyTest, ::testing::Range(0, 10));
+
+/// The detection hot path (MatchCompiled: the dynamic program on compiled
+/// prefixes) against the paper's construction (the NFA value matchers) on
+/// exactly the operands the linear detectors ask about: Mainline(l1)
+/// against every prefix SEQ_ROOT^chain[k] of l2, strong and weak.
+TEST(MatchCompiledTest, PrefixSweepAgreesWithNfaReference) {
+  auto symbols = NewSymbols();
+  Rng rng(20261018);
+  PatternGenOptions options;
+  options.size = 4;
+  options.alphabet = {symbols->Intern("a"), symbols->Intern("b")};
+  RandomPatternGenerator gen(symbols, options);
+
+  size_t matches = 0;
+  size_t checks = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    // Every fourth l1 is branching, so Mainline(l1) is not l1 itself.
+    const Pattern l1 =
+        iter % 4 == 3 ? gen.GenerateBranching(&rng) : gen.GenerateLinear(&rng);
+    const Pattern l2 = gen.GenerateLinear(&rng);
+    const CompiledPattern c1(l1);
+    const CompiledPattern c2(l2);
+    const Pattern mainline = Mainline(l1);
+    for (size_t k = 0; k < c2.chain_length(); ++k) {
+      const Pattern& prefix = c2.prefix_pattern(k);
+      for (bool weak : {false, true}) {
+        const MatchResult want = weak ? MatchWeakly(mainline, prefix)
+                                      : MatchStrongly(mainline, prefix);
+        const MatchResult got = MatchCompiled(c1, c2, k, weak);
+        ++checks;
+        ASSERT_EQ(got.matches, want.matches)
+            << "iter " << iter << " k " << k << (weak ? " weak" : " strong");
+        if (!got.matches) continue;
+        ++matches;
+        ExpectWitnessValid(got.witness_word, mainline, prefix, weak, symbols);
+        ExpectWitnessValid(want.witness_word, mainline, prefix, weak, symbols);
+      }
+    }
+  }
+  // Both outcomes are represented, so neither branch is vacuous.
+  EXPECT_GT(matches, 0u);
+  EXPECT_LT(matches, checks);
+}
 
 }  // namespace
 }  // namespace xmlup

@@ -99,8 +99,10 @@ TEST(StressTest, DetectionWithLargePatterns) {
     n = del.AddChild(n, symbols->Intern("s"), Axis::kDescendant);
   }
   del.SetOutput(n);
-  Result<ConflictReport> report = DetectLinearReadDeleteConflict(
-      read, del, ConflictSemantics::kNode, MatcherKind::kDp);
+  // The compiled core: the dynamic-programming matcher the detector runs.
+  Result<ConflictReport> report = DetectReadDeleteConflictCompiled(
+      CompiledPattern(read), CompiledPattern(del), del,
+      ConflictSemantics::kNode);
   ASSERT_TRUE(report.ok()) << report.status();
   if (report->conflict()) {
     ASSERT_TRUE(report->witness.has_value());
