@@ -1,10 +1,12 @@
 #include "conflict/bounded_search.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "eval/sat_kernel.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
@@ -195,51 +197,59 @@ void ShapeTable::Materialize(uint32_t s, std::span<const Label> alphabet,
   for (uint32_t child : children(s)) Materialize(child, alphabet, tree, node);
 }
 
+namespace {
+
+/// One bottom-up pass of `kernel` over `table`; calls on_shape(s, sat row
+/// of s, words) for every shape in id order, children before parents,
+/// with `words` the Dispatch constant.
+template <typename OnShape>
+void ShapePass(const SatKernel& kernel, const ShapeTable& table,
+               std::span<const Label> alphabet, OnShape on_shape) {
+  std::vector<const uint64_t*> label_rows;
+  for (Label label : alphabet) label_rows.push_back(kernel.LabelRow(label));
+  kernel.Dispatch([&](auto words) {
+    const size_t w = words() != 0 ? words() : kernel.words();
+    const auto rows =
+        std::make_unique_for_overwrite<uint64_t[]>((table.size() + 1) * 2 * w);
+    uint64_t* scratch = rows.get() + table.size() * 2 * w;
+    for (uint32_t s = 0; s < table.size(); ++s) {
+      kernel.Step<words()>(
+          label_rows[table.label(s)],
+          [&](auto&& visit) {
+            for (uint32_t c : table.children(s)) visit(c);
+          },
+          rows.get(), s, scratch);
+      on_shape(s, rows.get() + s * 2 * w, words);
+    }
+  });
+}
+
+}  // namespace
+
 std::vector<uint64_t> ShapeMatchMasks(const ShapeTable& table,
                                       std::span<const Label> alphabet,
                                       const Pattern& pattern) {
   XMLUP_CHECK(pattern.size() <= 64);
-  // Per alphabet index: the pattern nodes whose label test it passes. Per
-  // pattern node: its children by edge kind.
-  std::vector<uint64_t> label_ok(alphabet.size(), 0);
-  std::vector<uint64_t> child_edges(pattern.size(), 0);
-  std::vector<uint64_t> descendant_edges(pattern.size(), 0);
-  for (PatternNodeId q = 0; q < pattern.size(); ++q) {
-    const uint64_t bit = uint64_t{1} << q;
-    for (size_t a = 0; a < alphabet.size(); ++a) {
-      if (pattern.is_wildcard(q) || pattern.label(q) == alphabet[a]) {
-        label_ok[a] |= bit;
-      }
-    }
-    if (q == pattern.root()) continue;
-    (pattern.axis(q) == Axis::kChild ? child_edges
-                                     : descendant_edges)[pattern.parent(q)] |=
-        bit;
-  }
-  // sat[s] bit q: sub-pattern q embeds with q ↦ root(s). anywhere[s]: the
-  // union of sat over the subtree of s, root included.
-  std::vector<uint64_t> sat(table.size(), 0);
-  std::vector<uint64_t> anywhere(table.size(), 0);
-  for (uint32_t s = 0; s < table.size(); ++s) {
-    uint64_t child_sat = 0;
-    uint64_t below = 0;
-    for (uint32_t c : table.children(s)) {
-      child_sat |= sat[c];
-      below |= anywhere[c];
-    }
-    uint64_t matched = 0;
-    for (uint64_t candidates = label_ok[table.label(s)]; candidates != 0;
-         candidates &= candidates - 1) {
-      const uint32_t q = static_cast<uint32_t>(__builtin_ctzll(candidates));
-      if ((child_edges[q] & ~child_sat) == 0 &&
-          (descendant_edges[q] & ~below) == 0) {
-        matched |= uint64_t{1} << q;
-      }
-    }
-    sat[s] = matched;
-    anywhere[s] = matched | below;
-  }
-  return sat;
+  std::vector<uint64_t> masks(table.size());
+  const Pattern* const patterns[] = {&pattern};
+  ShapePass(SatKernel(patterns), table, alphabet,
+            [&](uint32_t s, const uint64_t* sat, auto) { masks[s] = sat[0]; });
+  return masks;
+}
+
+std::vector<char> ShapesEmbeddingAll(const ShapeTable& table,
+                                     std::span<const Label> alphabet,
+                                     std::span<const Pattern* const> patterns) {
+  std::vector<char> possible(table.size(), 1);
+  if (patterns.empty()) return possible;
+  const SatKernel kernel(patterns);
+  const uint64_t* roots = kernel.roots();
+  ShapePass(kernel, table, alphabet,
+            [&](uint32_t s, const uint64_t* sat, auto words) {
+              possible[s] = SatKernel::CoveredIn(
+                  roots, sat, words() != 0 ? words() : kernel.words());
+            });
+  return possible;
 }
 
 TreeEnumerator::TreeEnumerator(std::shared_ptr<SymbolTable> symbols,
@@ -300,19 +310,8 @@ BruteForceResult SearchShapes(
   obs::TraceSpan span("BruteForceSearch");
   const std::shared_ptr<const ShapeTable> table =
       ShapeTable::Get(alphabet.size(), options.max_nodes, options.max_trees);
-  // possible[s]: every must_embed pattern embeds at the root of shape s.
-  // Patterns too large for a mask word leave the filter open.
-  std::vector<char> possible(table->size(), 1);
-  for (const Pattern* pattern : must_embed) {
-    if (pattern->size() > 64) continue;
-    const std::vector<uint64_t> masks =
-        ShapeMatchMasks(*table, alphabet, *pattern);
-    const uint64_t root_bit = uint64_t{1} << pattern->root();
-    for (uint32_t s = 0; s < table->size(); ++s) {
-      if ((masks[s] & root_bit) == 0) possible[s] = 0;
-    }
-  }
-
+  const std::vector<char> possible =
+      ShapesEmbeddingAll(*table, alphabet, must_embed);
   BruteForceResult result;
   result.truncated = table->truncated();
   result.trees_checked = table->size();

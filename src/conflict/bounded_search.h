@@ -75,11 +75,19 @@ class ShapeTable {
 /// Bottom-up match masks of `pattern` over `table` for the alphabet that
 /// binds its indices: bit q of mask[s] is set iff the sub-pattern rooted
 /// at pattern node q embeds into shape s with q mapped to the root of s.
-/// The recurrence is EvaluateFast's `sat`/`below` one, each shape's mask
+/// This is the SatKernel recurrence (eval/sat_kernel), each shape's mask
 /// computed once from its children's. `pattern` has at most 64 nodes.
 std::vector<uint64_t> ShapeMatchMasks(const ShapeTable& table,
                                       std::span<const Label> alphabet,
                                       const Pattern& pattern);
+
+/// Entry s is 1 iff every pattern in `patterns` embeds into shape s with
+/// its root mapped to the root of s. The patterns are packed into one
+/// SatKernel layout of any total size, so this is a single bottom-up pass
+/// over the table however many patterns there are. All 1 for no patterns.
+std::vector<char> ShapesEmbeddingAll(const ShapeTable& table,
+                                     std::span<const Label> alphabet,
+                                     std::span<const Pattern* const> patterns);
 
 /// Enumerates all *canonical* unordered labeled trees with 1..max_nodes
 /// nodes over a fixed finite alphabet: every isomorphism class is produced
@@ -164,8 +172,9 @@ std::vector<Label> SearchAlphabet(SymbolTable& symbols,
 /// the DTD-restricted searches and the §6 commutativity search. Walks the
 /// shared shape table for `alphabet` up to options.max_nodes in canonical
 /// order. A shape is materialized and handed to `is_witness` only if every
-/// pattern in `must_embed` embeds at its root: the caller passes patterns
-/// that embed into every witness, so skipped shapes cannot be witnesses.
+/// pattern in `must_embed` embeds at its root (one ShapesEmbeddingAll
+/// pass): the caller passes patterns that embed into every witness, so
+/// skipped shapes cannot be witnesses.
 /// Every enumerated shape counts in trees_checked, and a truncated table
 /// never yields kExhaustedNoWitness.
 BruteForceResult SearchShapes(

@@ -2,87 +2,15 @@
 
 #include <vector>
 
+#include "conflict/minimize.h"
+#include "conflict/witness_build.h"
 #include "eval/evaluator.h"
 #include "pattern/pattern_ops.h"
 
 namespace xmlup {
-namespace {
-
-/// DP table for pattern homomorphisms q → p.
-class HomTable {
- public:
-  HomTable(size_t q_size, size_t p_size)
-      : stride_(p_size), bits_(q_size * p_size, false) {}
-  bool get(PatternNodeId x, PatternNodeId y) const {
-    return bits_[x * stride_ + y];
-  }
-  void set(PatternNodeId x, PatternNodeId y, bool v) {
-    bits_[x * stride_ + y] = v;
-  }
-
- private:
-  size_t stride_;
-  std::vector<bool> bits_;
-};
-
-/// Label compatibility for homomorphisms: a wildcard in q maps anywhere; a
-/// concrete label in q must land on the same concrete label in p (a
-/// wildcard in p stands for an *arbitrary* label, so it cannot support a
-/// concrete requirement).
-bool HomLabelOk(const Pattern& q, PatternNodeId x, const Pattern& p,
-                PatternNodeId y) {
-  if (q.is_wildcard(x)) return true;
-  if (p.is_wildcard(y)) return false;
-  return q.LabelName(x) == p.LabelName(y);
-}
-
-}  // namespace
 
 bool HasContainmentHomomorphism(const Pattern& p, const Pattern& q) {
-  // hsat[x][y]: the subpattern of q rooted at x maps into p with x ↦ y.
-  // dsat[x][y]: hsat[x][y'] for some proper descendant y' of y in p.
-  HomTable hsat(q.size(), p.size());
-  HomTable dsat(q.size(), p.size());
-  const std::vector<PatternNodeId> p_post = p.PostOrder();
-  const std::vector<PatternNodeId> q_post = q.PostOrder();
-  for (PatternNodeId y : p_post) {
-    for (PatternNodeId x : q_post) {
-      bool ok = HomLabelOk(q, x, p, y);
-      for (PatternNodeId xc = q.first_child(x); ok && xc != kNullPatternNode;
-           xc = q.next_sibling(xc)) {
-        bool edge_ok = false;
-        if (q.axis(xc) == Axis::kChild) {
-          // Child edges must map to child edges of p.
-          for (PatternNodeId yc = p.first_child(y); yc != kNullPatternNode;
-               yc = p.next_sibling(yc)) {
-            if (p.axis(yc) == Axis::kChild && hsat.get(xc, yc)) {
-              edge_ok = true;
-              break;
-            }
-          }
-        } else {
-          // Descendant edges map to any strictly-lower node of p.
-          for (PatternNodeId yc = p.first_child(y); yc != kNullPatternNode;
-               yc = p.next_sibling(yc)) {
-            if (hsat.get(xc, yc) || dsat.get(xc, yc)) {
-              edge_ok = true;
-              break;
-            }
-          }
-        }
-        ok = edge_ok;
-      }
-      hsat.set(x, y, ok);
-      bool below = false;
-      for (PatternNodeId yc = p.first_child(y); !below &&
-           yc != kNullPatternNode;
-           yc = p.next_sibling(yc)) {
-        below = hsat.get(x, yc) || dsat.get(x, yc);
-      }
-      dsat.set(x, y, below);
-    }
-  }
-  return hsat.get(q.root(), p.root());
+  return HasPatternHomomorphism(q, p, /*preserve_output=*/false);
 }
 
 namespace {
@@ -127,7 +55,11 @@ uint64_t SaturatingPow(uint64_t base, uint64_t exp) {
 
 ContainmentDecision DecideContainment(const Pattern& p, const Pattern& q) {
   ContainmentDecision decision;
-  const Label z = p.symbols()->Fresh("z");
+  // The models decide containment with no later check, so the filler
+  // must satisfy z ∉ labels(p) ∪ labels(q): a z that a label of q matches
+  // would let q embed into a model standing for trees q misses. z is the
+  // reserved `z$` unless p or q uses it, else a fresh label.
+  const Label z = UnusedLabel("z", p, q, nullptr);
   const size_t w = StarLength(q) + 1;
 
   std::vector<PatternNodeId> desc_nodes;

@@ -1,58 +1,48 @@
 #include "conflict/minimize.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
+#include "eval/sat_kernel.h"
 
 namespace xmlup {
-namespace {
-
-/// Label compatibility for homomorphisms (cf. containment.cc): wildcards
-/// in `from` map anywhere; concrete labels need an equal concrete label.
-bool HomLabelOk(const Pattern& from, PatternNodeId x, const Pattern& to,
-                PatternNodeId y) {
-  if (from.is_wildcard(x)) return true;
-  if (to.is_wildcard(y)) return false;
-  return from.LabelName(x) == to.LabelName(y);
+bool HasPatternHomomorphism(const Pattern& from, const Pattern& to,
+                            bool preserve_output) {
+  XMLUP_DCHECK(from.symbols() == to.symbols());
+  const Pattern* const patterns[] = {&from};
+  const SatKernel kernel(patterns);
+  const size_t w = kernel.words();
+  // Rows per node of `to`, then a scratch slot and a label row.
+  std::vector<uint64_t> rows((to.size() + 2) * 2 * w);
+  uint64_t* scratch = rows.data() + to.size() * 2 * w;
+  uint64_t* label_row = scratch + 2 * w;
+  const size_t out = from.output();
+  kernel.Dispatch([&](auto words) {
+    // A child's id exceeds its parent's, so descending ids are bottom-up.
+    for (PatternNodeId y = static_cast<PatternNodeId>(to.size()); y-- > 0;) {
+      // A wildcard of `to` is not in the kernel's label list, so its row
+      // holds just the wildcards of `from`.
+      std::copy_n(kernel.LabelRow(to.label(y)), w, label_row);
+      if (preserve_output && y != to.output()) {
+        label_row[out / 64] &= ~(uint64_t{1} << (out % 64));
+      }
+      kernel.Step<words()>(
+          label_row,
+          [&](auto&& visit) {
+            for (PatternNodeId c = to.first_child(y); c != kNullPatternNode;
+                 c = to.next_sibling(c)) {
+              visit(c, to.axis(c) == Axis::kChild);
+            }
+          },
+          rows.data(), y, scratch);
+    }
+  });
+  return (rows[to.root() * 2 * w] & 1) != 0;  // from's root is bit 0
 }
 
-}  // namespace
-
 bool HasOutputPreservingHomomorphism(const Pattern& from, const Pattern& to) {
-  const size_t stride = to.size();
-  std::vector<bool> hsat(from.size() * stride, false);
-  std::vector<bool> dsat(from.size() * stride, false);
-  const std::vector<PatternNodeId> to_post = to.PostOrder();
-  const std::vector<PatternNodeId> from_post = from.PostOrder();
-  for (PatternNodeId y : to_post) {
-    for (PatternNodeId x : from_post) {
-      bool ok = HomLabelOk(from, x, to, y);
-      // The output node must land on the output node.
-      if (x == from.output() && y != to.output()) ok = false;
-      for (PatternNodeId xc = from.first_child(x);
-           ok && xc != kNullPatternNode; xc = from.next_sibling(xc)) {
-        bool edge_ok = false;
-        for (PatternNodeId yc = to.first_child(y); yc != kNullPatternNode;
-             yc = to.next_sibling(yc)) {
-          if (from.axis(xc) == Axis::kChild) {
-            edge_ok |= to.axis(yc) == Axis::kChild && hsat[xc * stride + yc];
-          } else {
-            edge_ok |= hsat[xc * stride + yc] || dsat[xc * stride + yc];
-          }
-          if (edge_ok) break;
-        }
-        ok = edge_ok;
-      }
-      hsat[x * stride + y] = ok;
-      bool below = false;
-      for (PatternNodeId yc = to.first_child(y);
-           !below && yc != kNullPatternNode; yc = to.next_sibling(yc)) {
-        below = hsat[x * stride + yc] || dsat[x * stride + yc];
-      }
-      dsat[x * stride + y] = below;
-    }
-  }
-  return hsat[from.root() * stride + to.root()];
+  return HasPatternHomomorphism(from, to, /*preserve_output=*/true);
 }
 
 Pattern RemoveLeaf(const Pattern& p, PatternNodeId node) {

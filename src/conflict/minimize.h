@@ -18,6 +18,13 @@ namespace xmlup {
 /// implies [[to]](t) ⊆ [[from]](t) for every tree t.
 bool HasOutputPreservingHomomorphism(const Pattern& from, const Pattern& to);
 
+/// The pattern homomorphism `from` → `to` as above, with O(from) ↦ O(to)
+/// required only if `preserve_output`. Runs the SatKernel recurrence
+/// (eval/sat_kernel) with `to` as the target, so labels compare by id:
+/// both patterns use one SymbolTable.
+bool HasPatternHomomorphism(const Pattern& from, const Pattern& to,
+                            bool preserve_output);
+
 /// Removes redundant leaves: a non-output leaf x is deleted when the full
 /// pattern maps homomorphically (output-preserving) into the pattern
 /// without x — then both patterns return exactly the same result on every

@@ -4,6 +4,7 @@
 #include <set>
 #include <vector>
 
+#include "conflict/witness_build.h"
 #include "eval/embedding_enumerator.h"
 #include "eval/evaluator.h"
 #include "pattern/pattern_ops.h"
@@ -182,7 +183,10 @@ Result<Tree> ShrinkReadInsertWitness(const Pattern& read,
   }
   marks.insert(witness.root());
 
-  const Label alpha = read.symbols()->Fresh("alpha");
+  // The chain label only needs to avoid the inputs' labels; the shrunken
+  // tree is re-checked below.
+  const Label alpha =
+      UnusedLabel("chain", read, insert_pattern, &inserted, &witness);
   Tree shrunk = ShrinkMarked(CopyTree(witness), std::move(marks),
                              StarLength(read), alpha);
   if (!IsReadInsertWitness(read, insert_pattern, inserted, shrunk,
@@ -240,7 +244,7 @@ Result<Tree> ShrinkReadDeleteWitness(const Pattern& read,
   for (NodeId image : e_d) marks.insert(image);
   marks.insert(original.root());
 
-  const Label alpha = read.symbols()->Fresh("alpha");
+  const Label alpha = UnusedLabel("chain", read, delete_pattern, &witness);
   Tree shrunk = ShrinkMarked(CopyTree(witness), std::move(marks),
                              StarLength(read), alpha);
   if (!IsReadDeleteWitness(read, delete_pattern, shrunk,

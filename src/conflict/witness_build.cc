@@ -8,7 +8,8 @@
 namespace xmlup {
 
 Label UnusedLabel(std::string_view prefix, const Pattern& read,
-                  const Pattern& update, const Tree* content) {
+                  const Pattern& update, const Tree* content,
+                  const Tree* other) {
   const std::shared_ptr<SymbolTable>& symbols = read.symbols();
   const Label reserved = symbols->Reserved(prefix);
   auto uses = [reserved](const Pattern& p) {
@@ -16,10 +17,9 @@ Label UnusedLabel(std::string_view prefix, const Pattern& read,
     return std::find(labels.begin(), labels.end(), reserved) != labels.end();
   };
   bool used = uses(read) || uses(update);
-  if (!used && content != nullptr) {
-    for (NodeId n : content->PreOrder()) {
-      if (content->label(n) == reserved) used = true;
-    }
+  for (const Tree* tree : {content, other}) {
+    if (tree == nullptr) continue;
+    for (NodeId n : tree->PreOrder()) used = used || tree->label(n) == reserved;
   }
   return used ? symbols->Fresh(prefix) : reserved;
 }

@@ -12,13 +12,14 @@ namespace xmlup {
 /// Helpers shared by the witness constructions of the linear read-delete
 /// and read-insert detectors (proofs of Lemmas 3, 4, 6 and 8).
 
-/// A label used by none of `read`, `update` and `content` (may be null):
-/// the table's reserved `<prefix>$` label unless one of them uses it, else
-/// a fresh one. The constructions only need "a label not used in R, I or
-/// X"; drawing it from the reserved label keeps the shared SymbolTable from
-/// growing with every witness built.
+/// A label used by none of `read`, `update`, `content` and `other` (trees
+/// may be null): the table's reserved `<prefix>$` label unless one of them
+/// uses it, else a fresh one. The constructions only need "a label not
+/// used in R, I or X"; drawing it from the reserved label keeps the shared
+/// SymbolTable from growing with every witness built.
 Label UnusedLabel(std::string_view prefix, const Pattern& read,
-                  const Pattern& update, const Tree* content);
+                  const Pattern& update, const Tree* content,
+                  const Tree* other = nullptr);
 
 /// Materializes a match witness word as a path tree whose Any classes are
 /// resolved to `filler`, a label occurring in no pattern involved (see

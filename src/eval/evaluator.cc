@@ -1,106 +1,122 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
+#include <memory>
+
+#include "eval/sat_kernel.h"
 
 namespace xmlup {
 namespace {
-
-/// Dense boolean table indexed by [pattern node][tree node slot].
-class BoolTable {
- public:
-  BoolTable(size_t pattern_size, size_t tree_capacity)
-      : stride_(tree_capacity), bits_(pattern_size * tree_capacity, false) {}
-
-  bool get(PatternNodeId q, NodeId n) const { return bits_[q * stride_ + n]; }
-  void set(PatternNodeId q, NodeId n, bool v) { bits_[q * stride_ + n] = v; }
-
- private:
-  size_t stride_;
-  std::vector<bool> bits_;
-};
 
 bool LabelOk(const Pattern& p, PatternNodeId q, const Tree& t, NodeId n) {
   return p.is_wildcard(q) || p.label(q) == t.label(n);
 }
 
-/// Computes sat[q][n] = "the subpattern rooted at q embeds with q ↦ n" and
-/// dsat[q][n] = "sat[q][m] for some proper descendant m of n".
-void ComputeSat(const Pattern& p, const Tree& t, BoolTable* sat,
-                BoolTable* dsat) {
-  const std::vector<NodeId> tree_post = t.PostOrder();
-  const std::vector<PatternNodeId> pat_post = p.PostOrder();
-  for (NodeId n : tree_post) {
-    for (PatternNodeId q : pat_post) {
-      bool ok = LabelOk(p, q, t, n);
-      for (PatternNodeId c = p.first_child(q); ok && c != kNullPatternNode;
-           c = p.next_sibling(c)) {
-        bool edge_ok = false;
-        if (p.axis(c) == Axis::kChild) {
-          for (NodeId m = t.first_child(n); m != kNullNode;
-               m = t.next_sibling(m)) {
-            if (sat->get(c, m)) {
-              edge_ok = true;
-              break;
+/// The bottom-up pass over the subtree of `top`, in postorder along the
+/// tree's child/sibling/parent links.
+template <size_t kW>
+void ComputeRows(const SatKernel& kernel, const Tree& t, NodeId top,
+                 uint64_t* rows, uint64_t* scratch) {
+  NodeId n = top;
+  for (;;) {
+    while (t.first_child(n) != kNullNode) n = t.first_child(n);
+    for (;;) {
+      kernel.Step<kW>(
+          kernel.LabelRow(t.label(n)),
+          [&](auto&& visit) {
+            for (NodeId c = t.first_child(n); c != kNullNode;
+                 c = t.next_sibling(c)) {
+              visit(c);
             }
-          }
-        } else {
-          // Descendant: sat in some child's subtree (child itself or below).
-          for (NodeId m = t.first_child(n); m != kNullNode;
-               m = t.next_sibling(m)) {
-            if (sat->get(c, m) || dsat->get(c, m)) {
-              edge_ok = true;
-              break;
-            }
-          }
-        }
-        ok = edge_ok;
+          },
+          rows, n, scratch);
+      if (n == top) return;
+      if (t.next_sibling(n) != kNullNode) {
+        n = t.next_sibling(n);
+        break;
       }
-      sat->set(q, n, ok);
-      bool below = false;
-      for (NodeId m = t.first_child(n); !below && m != kNullNode;
-           m = t.next_sibling(m)) {
-        below = sat->get(q, m) || dsat->get(q, m);
-      }
-      dsat->set(q, n, below);
+      n = t.parent(n);
     }
   }
 }
 
-/// Computes cand[q][n] = "some full (root-preserving) embedding maps q ↦ n"
-/// given sat. Anchored at (p.root() ↦ anchor).
-void ComputeCand(const Pattern& p, const Tree& t, NodeId anchor,
-                 const BoolTable& sat, BoolTable* cand) {
-  if (!sat.get(p.root(), anchor)) return;
-  cand->set(p.root(), anchor, true);
-  // Pattern nodes in preorder; parents processed before children.
-  for (PatternNodeId c : p.PreOrder()) {
-    if (c == p.root()) continue;
-    const PatternNodeId q = p.parent(c);
-    if (p.axis(c) == Axis::kChild) {
-      // cand[c][m] = sat[c][m] and cand[q][parent(m)].
-      for (NodeId m : t.SubtreeNodes(anchor)) {
-        if (m == anchor) continue;
-        if (sat.get(c, m) && cand->get(q, t.parent(m))) {
-          cand->set(c, m, true);
-        }
-      }
-    } else {
-      // cand[c][m] = sat[c][m] and some proper ancestor a (within the
-      // anchor's subtree) has cand[q][a]. One preorder sweep with an
-      // ancestor flag.
-      std::vector<std::pair<NodeId, bool>> stack = {{anchor, false}};
-      while (!stack.empty()) {
-        auto [n, anc_flag] = stack.back();
-        stack.pop_back();
-        if (n != anchor && anc_flag && sat.get(c, n)) cand->set(c, n, true);
-        const bool flag_for_children = anc_flag || cand->get(q, n);
-        for (NodeId m = t.first_child(n); m != kNullNode;
-             m = t.next_sibling(m)) {
-          stack.emplace_back(m, flag_for_children);
-        }
-      }
+/// ORs the kid rows of every bit set in `bits` into `out`.
+template <size_t kW>
+void OrKids(const SatKernel& kernel, const uint64_t* bits, bool child_edges,
+            uint64_t* out) {
+  const size_t w = kW != 0 ? kW : kernel.words();
+  for (size_t i = 0; i < w; ++i) {
+    for (uint64_t todo = bits[i]; todo != 0; todo &= todo - 1) {
+      const size_t b = i * 64 + static_cast<size_t>(__builtin_ctzll(todo));
+      const uint64_t* kids = child_edges ? kernel.child_kids<kW>(b)
+                                         : kernel.desc_kids<kW>(b);
+      for (size_t j = 0; j < w; ++j) out[j] |= kids[j];
     }
   }
+}
+
+/// [[p]](t) from the sat rows: a top-down pass in preorder along the links.
+/// cand(n) bit q: some full embedding maps q ↦ n; it is sat(n) restricted
+/// to the kids that n's parent allows. Each visited node's rows are
+/// overwritten with allow(n), the bits its children may take (child-edge
+/// kids of cand(n), and descendant-edge kids of cand over n and its
+/// ancestors), and down(n), that descendant-edge part alone. A subtree
+/// whose root allows nothing holds no candidates and is skipped.
+template <size_t kW>
+std::vector<NodeId> Candidates(const SatKernel& kernel, const Pattern& p,
+                               const Tree& t, uint64_t* rows,
+                               uint64_t* cand) {
+  const size_t w = kW != 0 ? kW : kernel.words();
+  auto allow = [&](NodeId n) { return rows + n * 2 * w; };
+  auto down = [&](NodeId n) { return rows + n * 2 * w + w; };
+  const NodeId root = t.root();
+  if ((rows[root * 2 * w] & 1) == 0) return {};  // the pattern root is bit 0
+  const uint64_t out_bit = uint64_t{1} << (p.output() % 64);
+  const size_t out_word = p.output() / 64;
+  std::vector<NodeId> result;
+  std::fill_n(cand, w, 0);
+  cand[0] = 1;  // only the pattern root maps to the tree root
+  for (NodeId n = root, parent = kNullNode;;) {
+    // Before it is overwritten, allow(n) still holds sat(n).
+    if (parent != kNullNode) {
+      for (size_t i = 0; i < w; ++i) cand[i] = allow(n)[i] & allow(parent)[i];
+    }
+    if ((cand[out_word] & out_bit) != 0) result.push_back(n);
+    std::fill_n(down(n), w, 0);
+    if (parent != kNullNode) std::copy_n(down(parent), w, down(n));
+    OrKids<kW>(kernel, cand, /*child_edges=*/false, down(n));
+    std::copy_n(down(n), w, allow(n));
+    OrKids<kW>(kernel, cand, /*child_edges=*/true, allow(n));
+    const bool allows = std::any_of(allow(n), allow(n) + w,
+                                    [](uint64_t x) { return x != 0; });
+    if (allows && t.first_child(n) != kNullNode) {
+      parent = n;
+      n = t.first_child(n);
+      continue;
+    }
+    while (n != root && t.next_sibling(n) == kNullNode) n = t.parent(n);
+    if (n == root) break;
+    n = t.next_sibling(n);
+    parent = t.parent(n);
+  }
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+/// Runs the bottom-up pass of p over the subtree of `top`, then
+/// finish(kernel, words, rows, scratch). The rows hold 2W words per tree
+/// slot, then a scratch slot; a pass touches only the nodes it visits.
+template <typename Finish>
+auto RunKernel(const Pattern& p, const Tree& t, NodeId top, Finish finish) {
+  const Pattern* const patterns[] = {&p};
+  const SatKernel kernel(patterns);
+  const size_t slots = t.capacity() * 2 * kernel.words();
+  const auto rows = std::make_unique_for_overwrite<uint64_t[]>(
+      slots + 2 * kernel.words());
+  return kernel.Dispatch([&](auto words) {
+    ComputeRows<words()>(kernel, t, top, rows.get(), rows.get() + slots);
+    return finish(kernel, words, rows.get(), rows.get() + slots);
+  });
 }
 
 uint64_t SatAdd(uint64_t a, uint64_t b) {
@@ -153,49 +169,35 @@ uint64_t CountEmbeddings(const Pattern& p, const Tree& t) {
 }
 
 std::vector<NodeId> Evaluate(const Pattern& p, const Tree& t) {
-  XMLUP_CHECK(p.has_root());
   if (!t.has_root() || t.size() == 0) return {};
-  BoolTable sat(p.size(), t.capacity());
-  BoolTable dsat(p.size(), t.capacity());
-  ComputeSat(p, t, &sat, &dsat);
-  BoolTable cand(p.size(), t.capacity());
-  ComputeCand(p, t, t.root(), sat, &cand);
-  std::vector<NodeId> result;
-  for (NodeId n : t.PreOrder()) {
-    if (cand.get(p.output(), n)) result.push_back(n);
-  }
-  std::sort(result.begin(), result.end());
-  return result;
+  return RunKernel(p, t, t.root(),
+                   [&](const SatKernel& kernel, auto words, uint64_t* rows,
+                       uint64_t* scratch) {
+                     return Candidates<words()>(kernel, p, t, rows, scratch);
+                   });
 }
 
 bool HasEmbedding(const Pattern& p, const Tree& t) {
-  XMLUP_CHECK(p.has_root());
   if (!t.has_root() || t.size() == 0) return false;
-  BoolTable sat(p.size(), t.capacity());
-  BoolTable dsat(p.size(), t.capacity());
-  ComputeSat(p, t, &sat, &dsat);
-  return sat.get(p.root(), t.root());
+  return EmbedsAt(p, t, t.root());
 }
 
 bool EmbedsAt(const Pattern& p, const Tree& t, NodeId at) {
-  XMLUP_CHECK(p.has_root());
   XMLUP_DCHECK(t.alive(at));
-  BoolTable sat(p.size(), t.capacity());
-  BoolTable dsat(p.size(), t.capacity());
-  ComputeSat(p, t, &sat, &dsat);
-  return sat.get(p.root(), at);
+  return RunKernel(p, t, at,
+                   [&](const SatKernel& kernel, auto, uint64_t* rows,
+                       uint64_t*) {
+                     return (rows[at * 2 * kernel.words()] & 1) != 0;
+                   });
 }
 
 bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope) {
-  XMLUP_CHECK(p.has_root());
   XMLUP_DCHECK(t.alive(scope));
-  BoolTable sat(p.size(), t.capacity());
-  BoolTable dsat(p.size(), t.capacity());
-  ComputeSat(p, t, &sat, &dsat);
-  for (NodeId n : t.SubtreeNodes(scope)) {
-    if (sat.get(p.root(), n)) return true;
-  }
-  return false;
+  return RunKernel(p, t, scope,
+                   [&](const SatKernel& kernel, auto, uint64_t* rows,
+                       uint64_t*) {
+                     return (rows[(scope * 2 + 1) * kernel.words()] & 1) != 0;
+                   });
 }
 
 }  // namespace xmlup

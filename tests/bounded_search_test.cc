@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "eval/embedding_enumerator.h"
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
@@ -263,6 +264,90 @@ TEST_F(TreeEnumeratorTest, MaskRootBitEqualsHasEmbedding) {
       }
     }
   }
+}
+
+/// XPath of `root` with `count` copies of the predicate `[step]`.
+std::string Repeated(const std::string& root, const std::string& step,
+                     int count) {
+  std::string xpath = root;
+  for (int i = 0; i < count; ++i) xpath += "[" + step + "]";
+  return xpath;
+}
+
+TEST_F(TreeEnumeratorTest, FusedPassEqualsConjunctionOfRootBits) {
+  std::vector<Pattern> patterns = HandPatterns(symbols_);
+  for (Pattern& p : RandomPatterns(symbols_, 40, 1733)) {
+    patterns.push_back(std::move(p));
+  }
+  const size_t small = patterns.size();
+  // Over 64 nodes in total, and singly: 41 + 31 + 71 nodes.
+  patterns.push_back(Xp(Repeated("a", "b", 40), symbols_));
+  patterns.push_back(Xp(Repeated("*", ".//c", 30), symbols_));
+  patterns.push_back(Xp(Repeated("a", "*", 70), symbols_));
+  std::vector<std::vector<const Pattern*>> sets;
+  for (size_t i = 0; i + 2 < small; ++i) {
+    sets.push_back({&patterns[i], &patterns[i + 1]});
+    sets.push_back({&patterns[i], &patterns[i + 1], &patterns[i + 2]});
+  }
+  const Pattern* big[] = {&patterns[small], &patterns[small + 1],
+                          &patterns[small + 2]};
+  sets.push_back({big[0], big[1]});
+  sets.push_back({big[2]});
+  sets.push_back({big[0], &patterns[0], big[1], &patterns[2]});
+  sets.push_back({big[0], big[1], big[2]});
+  sets.push_back({});
+  // Roots past the first word: each small pattern's root is bit 71.
+  for (size_t i = 0; i < small; ++i) sets.push_back({big[2], &patterns[i]});
+  size_t checked = 0;
+  size_t accepted = 0;
+  size_t big_accepted = 0;
+  for (size_t k = 1; k <= 3; ++k) {
+    const std::vector<Label> alphabet = Alphabet(k);
+    const std::shared_ptr<const ShapeTable> table =
+        ShapeTable::Get(k, 5, 4'000'000);
+    ASSERT_FALSE(table->truncated());
+    // Per pattern: its root bit on every shape, from the one-pattern pass
+    // where it fits a word, else from the reference enumerator on the
+    // built shape.
+    std::vector<std::vector<bool>> root_bit(patterns.size());
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      const Pattern& p = patterns[i];
+      std::vector<uint64_t> masks;
+      if (p.size() <= 64) masks = ShapeMatchMasks(*table, alphabet, p);
+      for (uint32_t s = 0; s < table->size(); ++s) {
+        root_bit[i].push_back(
+            p.size() <= 64
+                ? (masks[s] & 1) != 0
+                : !EnumerateEmbeddings(
+                       p, table->Materialize(s, symbols_, alphabet), 1)
+                       .empty());
+      }
+    }
+    for (const std::vector<const Pattern*>& set : sets) {
+      const std::vector<char> fused =
+          ShapesEmbeddingAll(*table, alphabet, set);
+      ASSERT_EQ(fused.size(), table->size());
+      size_t total = 0;
+      for (const Pattern* p : set) total += p->size();
+      for (uint32_t s = 0; s < table->size(); ++s) {
+        bool all = true;
+        for (const Pattern* p : set) {
+          all = all && root_bit[p - patterns.data()][s];
+        }
+        ASSERT_EQ(fused[s] != 0, all)
+            << "k=" << k << " set of " << set.size() << " patterns, "
+            << total << " nodes, shape "
+            << CanonicalCode(table->Materialize(s, symbols_, alphabet));
+        ++checked;
+        accepted += all;
+        big_accepted += all && total > 64;
+      }
+    }
+  }
+  // The filter both passes and rejects shapes, also for the wide sets.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, checked);
+  EXPECT_GT(big_accepted, 0u);
 }
 
 TEST_F(TreeEnumeratorTest, TablesAreSharedPerKey) {

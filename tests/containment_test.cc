@@ -63,6 +63,37 @@ TEST_F(ContainmentTest, WildcardInContaineeNotContainer) {
   EXPECT_FALSE(Contained("x[*]", "x[a]"));
 }
 
+TEST_F(ContainmentTest, RepeatedDecisionsDoNotGrowTheSymbolTable) {
+  const Pattern p = Xp("a/*/b", symbols_);
+  const Pattern q = Xp("a//b", symbols_);
+  EXPECT_TRUE(DecideContainment(p, q).contained);  // interns `z$` once
+  const size_t symbols = symbols_->size();
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(DecideContainment(p, q).contained);
+    EXPECT_FALSE(DecideContainment(q, p).contained);
+  }
+  EXPECT_EQ(symbols_->size(), symbols);
+}
+
+TEST_F(ContainmentTest, InputUsingTheReservedFillerIsStillDecided) {
+  // q = a/z$/b with the filler's reserved name. Filling p's wildcard with
+  // z$ would make q embed into p's only model; the fresh fallback keeps
+  // a/c/b-like trees as counterexamples.
+  const Label reserved = symbols_->Reserved("z");
+  Pattern q(symbols_);
+  const PatternNodeId mid =
+      q.AddChild(q.CreateRoot(symbols_->Intern("a")), reserved, Axis::kChild);
+  q.SetOutput(q.AddChild(mid, symbols_->Intern("b"), Axis::kChild));
+  const Pattern p = Xp("a/*/b", symbols_);
+  const ContainmentDecision d = DecideContainment(p, q);
+  EXPECT_FALSE(d.contained);
+  ASSERT_TRUE(d.counterexample.has_value());
+  EXPECT_TRUE(HasEmbedding(p, *d.counterexample));
+  EXPECT_FALSE(HasEmbedding(q, *d.counterexample));
+  // And the other direction holds: a/z$/b is one of the trees of a/*/b.
+  EXPECT_TRUE(DecideContainment(q, p).contained);
+}
+
 TEST_F(ContainmentTest, HomomorphismIsSound) {
   // Whenever the PTIME homomorphism exists, the exact decision agrees.
   const char* cases[][2] = {

@@ -5,11 +5,11 @@
 
 #include "common/random.h"
 #include "eval/embedding_enumerator.h"
-#include "eval/fast_evaluator.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
 #include "workload/tree_generator.h"
+#include "xml/tree_algos.h"
 
 namespace xmlup {
 namespace {
@@ -149,6 +149,26 @@ TEST_F(EvaluatorTest, CountEmbeddingsLargeWithoutOverflowIssues) {
   EXPECT_EQ(CountEmbeddings(Xp("a[*][*][*]", symbols_), t), 1000000u);
 }
 
+/// True iff the reference enumerator finds an embedding of `p` into the
+/// subtree of `t` rooted at `n` with ROOT(p) ↦ n.
+bool EnumeratedAt(const Pattern& p, const Tree& t, NodeId n) {
+  return !EnumerateEmbeddings(p, CopySubtree(t, n), 1).empty();
+}
+
+/// HasEmbedding, EmbedsAt(n) and EmbedsAnywhereIn(n) at every node of `t`
+/// against the reference enumerator.
+void ExpectAnchoredChecksMatchEnumeration(const Pattern& p, const Tree& t) {
+  EXPECT_EQ(HasEmbedding(p, t), EnumeratedAt(p, t, t.root()));
+  for (NodeId n : t.PreOrder()) {
+    EXPECT_EQ(EmbedsAt(p, t, n), EnumeratedAt(p, t, n)) << "node " << n;
+    bool anywhere = false;
+    for (NodeId m : t.SubtreeNodes(n)) {
+      anywhere = anywhere || EnumeratedAt(p, t, m);
+    }
+    EXPECT_EQ(EmbedsAnywhereIn(p, t, n), anywhere) << "node " << n;
+  }
+}
+
 /// Property sweep: the polynomial evaluator agrees with explicit embedding
 /// enumeration on random (tree, pattern) pairs.
 class EvaluatorPropertyTest : public ::testing::TestWithParam<int> {};
@@ -187,14 +207,72 @@ TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
     // The counting DP agrees with explicit enumeration.
     EXPECT_EQ(CountEmbeddings(p, t), embeddings.size())
         << "seed=" << GetParam() << " iter=" << iter;
-    // The bit-parallel evaluator agrees with the baseline.
-    EXPECT_EQ(EvaluateFast(p, t), fast)
-        << "seed=" << GetParam() << " iter=" << iter;
+    ExpectAnchoredChecksMatchEnumeration(p, t);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EvaluatorPropertyTest,
                          ::testing::Range(0, 12));
+
+/// A pattern of `t`'s first `size` nodes in preorder (a connected top
+/// part), keeping labels and edges except that some edges become
+/// descendant edges, some inner nodes wildcards, and some labels change,
+/// so it may or may not embed. Labels drawn from a large alphabet keep the
+/// embeddings few enough for the reference enumerator.
+Pattern PatternFromTree(const Tree& t, size_t size,
+                        const std::vector<Label>& alphabet, Rng* rng) {
+  Pattern p(t.symbols());
+  std::vector<PatternNodeId> image(t.capacity(), kNullPatternNode);
+  for (NodeId n : t.PreOrder()) {
+    if (p.size() == size) break;
+    Label label = t.label(n);
+    if (rng->NextBool(0.02)) {
+      label = alphabet[rng->NextBounded(alphabet.size())];
+    }
+    if (t.first_child(n) != kNullNode && rng->NextBool(0.05)) {
+      label = kWildcardLabel;
+    }
+    if (n == t.root()) {
+      image[n] = p.CreateRoot(label);
+      continue;
+    }
+    const Axis axis = rng->NextBool(0.1) ? Axis::kDescendant : Axis::kChild;
+    image[n] = p.AddChild(image[t.parent(n)], label, axis);
+  }
+  p.SetOutput(static_cast<PatternNodeId>(rng->NextBounded(p.size())));
+  return p;
+}
+
+TEST(EvaluatorMultiWordTest, PatternsOver64NodesMatchEnumeration) {
+  auto symbols = NewSymbols();
+  Rng rng(4242);
+  TreeGenOptions tree_options;
+  tree_options.target_size = 150;
+  tree_options.alphabet =
+      RandomTreeGenerator::MakeAlphabet(symbols.get(), 60);
+  RandomTreeGenerator trees(symbols, tree_options);
+  size_t embedded = 0;
+  for (int iter = 0; iter < 24; ++iter) {
+    const Tree t = trees.Generate(&rng);
+    const size_t size = std::min<size_t>(65 + rng.NextBounded(66), t.size());
+    const Pattern p = PatternFromTree(t, size, tree_options.alphabet, &rng);
+    ASSERT_GT(p.size(), 64u) << "iter=" << iter;
+    bool truncated = false;
+    const std::vector<Embedding> embeddings =
+        EnumerateEmbeddings(p, t, 200000, &truncated);
+    ASSERT_FALSE(truncated) << "iter=" << iter;
+    std::set<NodeId> slow;
+    for (const Embedding& e : embeddings) slow.insert(e[p.output()]);
+    const std::vector<NodeId> fast = Evaluate(p, t);
+    EXPECT_EQ(std::set<NodeId>(fast.begin(), fast.end()), slow)
+        << "iter=" << iter;
+    embedded += embeddings.empty() ? 0 : 1;
+    ExpectAnchoredChecksMatchEnumeration(p, t);
+  }
+  // Both outcomes occur, so neither side of the comparison is vacuous.
+  EXPECT_GT(embedded, 0u);
+  EXPECT_LT(embedded, 24u);
+}
 
 }  // namespace
 }  // namespace xmlup

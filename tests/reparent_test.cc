@@ -131,6 +131,81 @@ TEST_F(ReparentTest, ShrinkDeleteWitnessPreservesConflict) {
       IsReadDeleteWitness(read, del, *shrunk, ConflictSemantics::kNode));
 }
 
+TEST_F(ReparentTest, RepeatedShrinksDoNotGrowTheSymbolTable) {
+  // Both witnesses have an unmarked stretch long enough to be reparented
+  // behind a chain of the shrink's unused label.
+  const Pattern read = Xp("a//b", symbols_);
+  const Pattern del = Xp("a//c", symbols_);
+  const Tree w = Xml("<a><c><mid><mid><mid><b/></mid></mid></mid></c></a>",
+                     symbols_);
+  const Pattern ins = Xp("a//c", symbols_);
+  const Tree x = Xml("<d/>", symbols_);
+  const Pattern read_ins = Xp("a//c//d", symbols_);
+  const Tree w_ins =
+      Xml("<a><mid><mid><mid><mid><c/></mid></mid></mid></mid></a>", symbols_);
+  ASSERT_TRUE(ShrinkReadDeleteWitness(read, del, w).ok());
+  ASSERT_TRUE(ShrinkReadInsertWitness(read_ins, ins, x, w_ins).ok());
+  const size_t symbols = symbols_->size();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(ShrinkReadDeleteWitness(read, del, w).ok());
+    ASSERT_TRUE(ShrinkReadInsertWitness(read_ins, ins, x, w_ins).ok());
+  }
+  EXPECT_EQ(symbols_->size(), symbols);
+}
+
+TEST_F(ReparentTest, InputUsingTheReservedChainLabelStillShrinks) {
+  // The read selects nodes carrying the reserved chain name; a chain of
+  // that label would add read results, so the shrink must pick another.
+  const Label reserved = symbols_->Reserved("chain");
+  Pattern read(symbols_);
+  read.SetOutput(read.AddChild(read.CreateRoot(symbols_->Intern("a")),
+                               reserved, Axis::kDescendant));
+  const Pattern del = Xp("a//c", symbols_);
+  Tree w = Xml("<a><c><mid><mid><mid><mid/></mid></mid></mid></c></a>",
+               symbols_);
+  NodeId leaf = w.root();
+  while (w.first_child(leaf) != kNullNode) leaf = w.first_child(leaf);
+  w.AddChild(leaf, reserved);
+  ASSERT_TRUE(IsReadDeleteWitness(read, del, w, ConflictSemantics::kNode));
+  Result<Tree> shrunk = ShrinkReadDeleteWitness(read, del, w);
+  ASSERT_TRUE(shrunk.ok()) << shrunk.status();
+  EXPECT_LT(shrunk->size(), w.size());
+  EXPECT_TRUE(
+      IsReadDeleteWitness(read, del, *shrunk, ConflictSemantics::kNode));
+  EXPECT_EQ(Evaluate(read, *shrunk).size(), 1u);
+}
+
+TEST_F(ReparentTest, ChainLabelAvoidsTheWitnessLabels) {
+  // Only the witness carries the reserved chain name, on the stretch the
+  // shrink bypasses: the chain it adds must use another label.
+  const Label reserved = symbols_->Reserved("chain");
+  const Pattern read = Xp("a//b", symbols_);
+  const Pattern del = Xp("a//c", symbols_);
+  Tree w = Xml("<a><c/></a>", symbols_);
+  NodeId n = w.AddChild(w.first_child(w.root()), reserved);
+  for (int i = 0; i < 3; ++i) n = w.AddChild(n, symbols_->Intern("mid"));
+  w.AddChild(n, symbols_->Intern("b"));
+  Result<Tree> shrunk = ShrinkReadDeleteWitness(read, del, w);
+  ASSERT_TRUE(shrunk.ok()) << shrunk.status();
+  EXPECT_TRUE(
+      IsReadDeleteWitness(read, del, *shrunk, ConflictSemantics::kNode));
+  for (NodeId m : shrunk->PreOrder()) EXPECT_NE(shrunk->label(m), reserved);
+  // The insert shrink, with the name on the stretch above the insertion
+  // point.
+  const Pattern read_ins = Xp("a//c//d", symbols_);
+  const Pattern ins = Xp("a//c", symbols_);
+  const Tree x = Xml("<d/>", symbols_);
+  Tree w_ins(symbols_);
+  NodeId m = w_ins.AddChild(w_ins.CreateRoot(symbols_->Intern("a")), reserved);
+  for (int i = 0; i < 3; ++i) m = w_ins.AddChild(m, symbols_->Intern("mid"));
+  w_ins.AddChild(m, symbols_->Intern("c"));
+  shrunk = ShrinkReadInsertWitness(read_ins, ins, x, w_ins);
+  ASSERT_TRUE(shrunk.ok()) << shrunk.status();
+  EXPECT_TRUE(IsReadInsertWitness(read_ins, ins, x, *shrunk,
+                                  ConflictSemantics::kNode));
+  for (NodeId k : shrunk->PreOrder()) EXPECT_NE(shrunk->label(k), reserved);
+}
+
 TEST_F(ReparentTest, ShrinkRejectsNonWitness) {
   const Pattern read = Xp("a//b", symbols_);
   const Pattern del = Xp("a//zz", symbols_);
