@@ -3,12 +3,13 @@
 //   cold  the value linear detectors (every read is linear): the paper's
 //         construction, per-call regex build + Thompson NFAs + product
 //         BFS, no store;
-//   warm  ref Detect: compiled patterns from PatternStore::compiled,
-//         matched by the §4.1 dynamic program.
+//   warm  ref Detect: the stored (pre-minimized) linear patterns, which
+//         are their own mainlines, matched by the §4.1 dynamic program.
 // The harness times both, checks the verdicts are identical, and writes
 // "detect_hot" (pairs, per-pair microseconds, speedup, verdicts_identical)
-// into BENCH_detect_hot.json next to the obs counters (store.nfa.*);
-// CI asserts speedup >= 5 and the store cache counters.
+// into BENCH_detect_hot.json next to the obs counters (detector.*);
+// CI asserts speedup >= 5, identical verdicts, and a live, error-free
+// detector (detector.calls > 0, detector.errors == 0).
 
 #include <algorithm>
 #include <chrono>
@@ -107,7 +108,7 @@ uint64_t PassCold(const Workload& w, const DetectorOptions& options,
   return solved;
 }
 
-/// One full matrix pass through the ref facade (compiled patterns).
+/// One full matrix pass through the ref facade (stored patterns).
 uint64_t PassCached(const Workload& w, const DetectorOptions& options,
                     std::vector<ConflictVerdict>* verdicts) {
   uint64_t solved = 0;
@@ -137,7 +138,7 @@ BENCHMARK(BM_DetectColdValuePath)->Unit(benchmark::kMicrosecond);
 void BM_DetectWarmCachedPath(benchmark::State& state) {
   const Workload w = MakeWorkload();
   const DetectorOptions options = HotOptions();
-  PassCached(w, options, nullptr);  // compile every store entry
+  PassCached(w, options, nullptr);  // warm-up pass
   for (auto _ : state) {
     benchmark::DoNotOptimize(PassCached(w, options, nullptr));
   }
@@ -177,7 +178,7 @@ std::string MeasureDetectHot() {
   // Cold: the value linear detectors rebuild regexes and NFAs per call.
   const double cold_s =
       time_best([&] { sink += PassCold(w, options, nullptr); });
-  // Warm: compiled patterns (built above), the dynamic program per match.
+  // Warm: the stored patterns, the dynamic program per match.
   const double warm_s =
       time_best([&] { sink += PassCached(w, options, nullptr); });
   benchmark::DoNotOptimize(sink);

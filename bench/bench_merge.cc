@@ -142,7 +142,7 @@ void BM_Merge(benchmark::State& state) {
   MergeOptions options;
   options.num_threads = 4;
   const MergeExecutor executor(&SharedEngine(), options);
-  MergeAll(w, executor, nullptr);  // warm the compiled-automata caches
+  MergeAll(w, executor, nullptr);  // warm the store and the batch memo
   for (auto _ : state) {
     const MergeReport total = MergeAll(w, executor, nullptr);
     benchmark::DoNotOptimize(total.ops_total);

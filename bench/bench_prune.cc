@@ -1,10 +1,10 @@
 // Stage 0 ablation for the schema-type pruning filter: a typed 64×64
 // read×update matrix solved two ways on the warm ref-Detect path —
-//   warm    compiled automata + memoized products, no schema (the PR 6
-//           hot path: every pair runs the full Stage 1 machinery);
+//   warm    the ref-Detect hot path with no schema: every pair runs the
+//           full Stage 1 machinery (the §4.1 dynamic program);
 //   pruned  the same pairs with DetectorOptions::dtd set: schema-disjoint
 //           pairs resolve in Stage 0 (method kTypePruned) before any
-//           automata work.
+//           matching work.
 // The workload is sixteen sealed subsystems under a sealed root, 4 reads
 // + 4 updates each, so the ~94% cross-subsystem pairs (plus some
 // insert-insensitive same-subsystem ones) are schema-disjoint — and also
@@ -209,8 +209,8 @@ std::string MeasurePrune() {
   const bool spans_were_enabled = recorder.enabled();
   recorder.set_enabled(false);
   uint64_t sink = 0;
-  // Warm: the PR 6 hot path — compiled automata + memoized products
-  // (populated by the oracle passes above), every pair through Stage 1.
+  // Warm: the hot path with the store populated by the oracle passes
+  // above, every pair through Stage 1.
   const double warm_s =
       time_best([&] { sink += Pass(w, warm_options, nullptr, nullptr); });
   // Pruned: identical except Stage 0 short-circuits the disjoint pairs.

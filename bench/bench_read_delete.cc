@@ -1,13 +1,14 @@
 // Experiment E3 (Theorem 1 / Corollary 1): read-delete conflict detection
 // for linear reads is polynomial in |R| and |D|, and a branching delete
 // costs the same as its mainline. Series: |R| sweep, |D| sweep, linear vs
-// branching delete, the value detector (the paper's NFAs) vs the compiled
+// branching delete, the value detector (the paper's NFAs) vs the mainline
 // core (the dynamic-programming matcher the Detect pipeline runs).
 
 #include "benchmark/benchmark.h"
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "conflict/read_delete.h"
+#include "pattern/pattern_ops.h"
 #include "workload/pattern_generator.h"
 
 namespace xmlup {
@@ -30,19 +31,19 @@ Pattern RandomDelete(size_t size, uint64_t seed, bool branching) {
 
 void RunDetection(benchmark::State& state, size_t read_size,
                   size_t delete_size, bool branching_delete,
-                  bool compiled, bool build_witness = false) {
+                  bool dp, bool build_witness = false) {
   const Pattern read = bench::RandomLinear(read_size, 23);
   const Pattern del = RandomDelete(delete_size, 29, branching_delete);
-  const CompiledPattern read_compiled(read);
-  const CompiledPattern del_compiled(del);
+  const Pattern del_mainline = Mainline(del);
   size_t conflicts = 0;
   for (auto _ : state) {
     auto result =
-        compiled ? DetectReadDeleteConflictCompiled(
-                       read_compiled, del_compiled, del,
-                       ConflictSemantics::kNode, build_witness)
-                 : DetectLinearReadDeleteConflict(
-                       read, del, ConflictSemantics::kNode, build_witness);
+        dp ? DetectMainlineReadDeleteConflict(read, del_mainline, del,
+                                              ConflictSemantics::kNode,
+                                              build_witness)
+           : DetectLinearReadDeleteConflict(read, del,
+                                            ConflictSemantics::kNode,
+                                            build_witness);
     conflicts += (result.ok() && result->conflict()) ? 1 : 0;
     benchmark::DoNotOptimize(conflicts);
   }
@@ -50,7 +51,7 @@ void RunDetection(benchmark::State& state, size_t read_size,
 
 void BM_ReadDelete_ReadSizeSweep(benchmark::State& state) {
   RunDetection(state, static_cast<size_t>(state.range(0)), 6, false,
-               /*compiled=*/false);
+               /*dp=*/false);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ReadDelete_ReadSizeSweep)
@@ -60,7 +61,7 @@ BENCHMARK(BM_ReadDelete_ReadSizeSweep)
 
 void BM_ReadDelete_DeleteSizeSweep(benchmark::State& state) {
   RunDetection(state, 8, static_cast<size_t>(state.range(0)), false,
-               /*compiled=*/false);
+               /*dp=*/false);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ReadDelete_DeleteSizeSweep)
@@ -70,7 +71,7 @@ BENCHMARK(BM_ReadDelete_DeleteSizeSweep)
 
 void BM_ReadDelete_LinearDelete(benchmark::State& state) {
   RunDetection(state, 8, static_cast<size_t>(state.range(0)), false,
-               /*compiled=*/false);
+               /*dp=*/false);
 }
 BENCHMARK(BM_ReadDelete_LinearDelete)->RangeMultiplier(2)->Range(8, 64);
 
@@ -78,7 +79,7 @@ void BM_ReadDelete_BranchingDelete(benchmark::State& state) {
   // Corollary 1: only the mainline matters, so branching deletes of the
   // same size should cost no more.
   RunDetection(state, 8, static_cast<size_t>(state.range(0)), true,
-               /*compiled=*/false);
+               /*dp=*/false);
 }
 BENCHMARK(BM_ReadDelete_BranchingDelete)->RangeMultiplier(2)->Range(8, 64);
 
@@ -87,7 +88,7 @@ void BM_ReadDelete_WithWitnessSynthesis(benchmark::State& state) {
   // full constructive pipeline (costlier: verification evaluates patterns
   // on the synthesized tree).
   RunDetection(state, static_cast<size_t>(state.range(0)), 6, false,
-               /*compiled=*/false, /*build_witness=*/true);
+               /*dp=*/false, /*build_witness=*/true);
 }
 BENCHMARK(BM_ReadDelete_WithWitnessSynthesis)
     ->RangeMultiplier(2)
@@ -95,7 +96,7 @@ BENCHMARK(BM_ReadDelete_WithWitnessSynthesis)
 
 void BM_ReadDelete_DpMatcher(benchmark::State& state) {
   RunDetection(state, static_cast<size_t>(state.range(0)), 6, false,
-               /*compiled=*/true);
+               /*dp=*/true);
 }
 BENCHMARK(BM_ReadDelete_DpMatcher)->RangeMultiplier(2)->Range(4, 128);
 

@@ -17,7 +17,7 @@ using namespace xmlup;  // examples only; library code never does this
 
 int main() {
   // One Engine = the whole stack wired: symbol table, pattern store
-  // (interning + compiled automata), conflict detector.
+  // (interning + minimization), conflict detector.
   Engine engine;
   const std::shared_ptr<SymbolTable>& symbols = engine.symbols();
 

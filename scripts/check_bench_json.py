@@ -175,20 +175,16 @@ def check_detect_hot(stats, args):
         sub="detect_hot")
     counters = require(
         stats["metrics"], "detect_hot",
-        ["store.nfa.hits", "store.nfa.misses", "store.nfa.bytes",
-         "detector.calls", "detector.errors"],
+        ["detector.calls", "detector.errors"],
         sub="counters")
     if ablation["pairs"] == 0:
         structural("no pairs measured: workload is dead")
+    if counters["detector.calls"] == 0:
+        structural("no detector calls recorded: the warm path is dead")
     # The hot path must never change answers — the equivalence oracle ran
     # inside the bench itself, against the paper's automata.
     if not ablation["verdicts_identical"]:
         structural("cached verdicts diverged from the cold value path")
-    if counters["store.nfa.misses"] == 0 or counters["store.nfa.bytes"] == 0:
-        structural("no compiled patterns recorded: store cache is dead")
-    if counters["store.nfa.hits"] <= counters["store.nfa.misses"]:
-        structural("expected warm passes to be hit-dominated: "
-                   f"{counters}")
     if counters["detector.errors"] != 0:
         structural(f"{counters['detector.errors']} detector errors during "
                    "the bench: the workload should be error-free")
@@ -196,9 +192,8 @@ def check_detect_hot(stats, args):
         performance(f"warm detect speedup {ablation['speedup']} "
                     f"< {args.min_speedup}x")
     print(f"ok: detect_hot speedup {ablation['speedup']}x warm over "
-          f"{ablation['pairs']} pairs; compiled store "
-          f"{counters['store.nfa.hits']} hits / "
-          f"{counters['store.nfa.misses']} misses")
+          f"{ablation['pairs']} pairs; {counters['detector.calls']} "
+          f"detector calls")
 
 
 def check_prune(stats, args):

@@ -50,9 +50,9 @@ bool KeyLess(const BatchPairKey& a, const BatchPairKey& b) {
 }
 
 /// One job = one ref-facade call on the canonicalized pair. The op is
-/// re-bound to the engine's store so Detect takes the cached path —
-/// compiled patterns by ref — and the matrix pays zero per-pair
-/// compilation. The root-delete guard is re-checked by the
+/// re-bound to the engine's store so Detect runs on the stored,
+/// pre-minimized patterns by ref and the matrix pays no per-pair
+/// canonicalization. The root-delete guard is re-checked by the
 /// factory and by the facade (centralized in ValidateDeletePattern), so a
 /// root-selecting delete cannot reach the detectors through this engine.
 Result<ConflictReport> SolvePair(

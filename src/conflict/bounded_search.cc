@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -303,7 +304,7 @@ BruteForceResult SearchShapes(
     const std::shared_ptr<SymbolTable>& symbols,
     const std::vector<Label>& alphabet, const BoundedSearchOptions& options,
     std::span<const Pattern* const> must_embed,
-    const std::function<bool(const Tree&)>& is_witness) {
+    const std::function<bool(Tree&&)>& is_witness) {
   const SearchMetrics& metrics = SearchMetrics::Get();
   metrics.searches.Increment();
   obs::ScopedTimer timer(&metrics.latency_us);
@@ -319,10 +320,9 @@ BruteForceResult SearchShapes(
   for (uint32_t s = 0; s < table->size(); ++s) {
     if (!possible[s]) continue;
     ++materialized;
-    Tree candidate = table->Materialize(s, symbols, alphabet);
-    if (is_witness(candidate)) {
+    if (is_witness(table->Materialize(s, symbols, alphabet))) {
       result.outcome = SearchOutcome::kWitnessFound;
-      result.witness = std::move(candidate);
+      result.witness = table->Materialize(s, symbols, alphabet);
       result.trees_checked = s + 1;
       break;
     }
@@ -356,9 +356,9 @@ BruteForceResult BruteForceReadInsertSearch(
       SearchAlphabet(*read.symbols(), labels,
                      LabelsOf({&read, &insert_pattern}, {&inserted}),
                      options.extra_labels),
-      options, must_embed, [&](const Tree& candidate) {
-        return IsReadInsertWitness(read, insert_pattern, inserted, candidate,
-                                   semantics);
+      options, must_embed, [&](Tree&& candidate) {
+        return IsReadInsertWitness(read, insert_pattern, inserted,
+                                   std::move(candidate), semantics);
       });
 }
 
@@ -372,8 +372,9 @@ BruteForceResult BruteForceReadDeleteSearch(
   return SearchShapes(
       read.symbols(),
       SearchAlphabet(*read.symbols(), labels, labels, options.extra_labels),
-      options, must_embed, [&](const Tree& candidate) {
-        return IsReadDeleteWitness(read, delete_pattern, candidate, semantics);
+      options, must_embed, [&](Tree&& candidate) {
+        return IsReadDeleteWitness(read, delete_pattern, std::move(candidate),
+                                   semantics);
       });
 }
 

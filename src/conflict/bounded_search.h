@@ -174,14 +174,16 @@ std::vector<Label> SearchAlphabet(SymbolTable& symbols,
 /// order. A shape is materialized and handed to `is_witness` only if every
 /// pattern in `must_embed` embeds at its root (one ShapesEmbeddingAll
 /// pass): the caller passes patterns that embed into every witness, so
-/// skipped shapes cannot be witnesses.
+/// skipped shapes cannot be witnesses. `is_witness` owns the candidate
+/// and may use it up (the in-place Lemma 1 checkers do); the reported
+/// witness is the hit's shape materialized again.
 /// Every enumerated shape counts in trees_checked, and a truncated table
 /// never yields kExhaustedNoWitness.
 BruteForceResult SearchShapes(
     const std::shared_ptr<SymbolTable>& symbols,
     const std::vector<Label>& alphabet, const BoundedSearchOptions& options,
     std::span<const Pattern* const> must_embed,
-    const std::function<bool(const Tree&)>& is_witness);
+    const std::function<bool(Tree&&)>& is_witness);
 
 /// Exhaustively searches for a read-insert conflict witness of size
 /// ≤ options.max_nodes, with labels drawn from Σ_read ∪ Σ_insert plus

@@ -33,7 +33,7 @@ BruteForceResult FindCommutativityViolation(
   return SearchShapes(
       symbols,
       SearchAlphabet(*symbols, labels, labels, options.extra_labels), options,
-      /*must_embed=*/{}, [&](const Tree& candidate) {
+      /*must_embed=*/{}, [&](Tree&& candidate) {
         return !UpdatesCommuteOn(candidate, o1, o2);
       });
 }

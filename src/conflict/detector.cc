@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
+#include "pattern/pattern_ops.h"
 #include "xml/tree_algos.h"
 
 namespace xmlup {
@@ -96,24 +97,25 @@ void CountOutcome(const DetectorMetrics& metrics,
   }
 }
 
-/// The only per-kind code in the pipeline: the compiled linear core
+/// The only per-kind code in the pipeline: the mainline linear core
 /// (Lemma 3 for deletes, Lemmas 5-7 for inserts), the Lemma 1 witness
 /// checker and the bounded search. `content` is null for deletes.
 struct UpdateKindOps {
   const Pattern& update;
-  const CompiledPattern& update_compiled;
+  const Pattern& update_mainline;
   const Tree* content;
   const DetectorOptions& options;
 
-  Result<ConflictReport> Linear(const CompiledPattern& read,
+  Result<ConflictReport> Linear(const Pattern& read_mainline,
                                 bool build_witness) const {
     if (content != nullptr) {
-      return DetectReadInsertConflictCompiled(read, update_compiled, update,
-                                              *content, options.semantics,
-                                              build_witness);
+      return DetectMainlineReadInsertConflict(
+          read_mainline, update_mainline, update, *content, options.semantics,
+          build_witness);
     }
-    return DetectReadDeleteConflictCompiled(read, update_compiled, update,
-                                            options.semantics, build_witness);
+    return DetectMainlineReadDeleteConflict(read_mainline, update_mainline,
+                                            update, options.semantics,
+                                            build_witness);
   }
 
   bool IsWitness(const Pattern& read, const Tree& t) const {
@@ -185,10 +187,9 @@ ConflictReport FromSearch(BruteForceResult search, size_t paper_bound,
 }
 
 /// Stages 0-2 for one pair, shared by both update kinds. The linear path
-/// and the branching heuristic's mainline probe run on the store's
-/// compiled patterns (the compiled read *is* its mainline chain, so one
-/// compiled core serves both); only the heuristic extension and the
-/// bounded search touch the stored pattern.
+/// and the branching heuristic's mainline probe run the one mainline core
+/// on the read's mainline; only the heuristic extension and the bounded
+/// search touch the full stored read.
 Result<ConflictReport> RunPipeline(const PatternStore& store, PatternRef read,
                                    const UpdateOp& update,
                                    const DetectorOptions& options) {
@@ -203,27 +204,33 @@ Result<ConflictReport> RunPipeline(const PatternStore& store, PatternRef read,
                          content, options)) {
     return std::move(*pruned);
   }
-  const UpdateKindOps ops{update.pattern(),
-                          store.compiled(update.pattern_ref()), content,
-                          options};
+  // Corollaries 1-2: only the update's mainline matters. A linear stored
+  // pattern is its own mainline, so the linear hot path copies nothing.
+  std::optional<Pattern> update_mainline;
+  if (!store.linear(update.pattern_ref())) {
+    update_mainline.emplace(Mainline(update.pattern()));
+  }
+  const UpdateKindOps ops{
+      update.pattern(),
+      update_mainline.has_value() ? *update_mainline : update.pattern(),
+      content, options};
   const DetectorMetrics& metrics = DetectorMetrics::Get();
-  const CompiledPattern& read_compiled = store.compiled(read);
   if (store.linear(read)) {
     metrics.dispatch_linear.Increment();
-    return ops.Linear(read_compiled, options.build_witness);
+    return ops.Linear(store.pattern(read), options.build_witness);
   }
   metrics.dispatch_branching.Increment();
   // Heuristic: a conflict of the read's mainline often extends to the full
   // branching read once its predicates are satisfiable everywhere. The
   // mainline probe always builds its witness — TryMainlineWitness extends
   // that verified tree.
+  const Pattern& full_read = store.pattern(read);
   Result<ConflictReport> mainline_report =
-      ops.Linear(read_compiled, /*build_witness=*/true);
+      ops.Linear(Mainline(full_read), /*build_witness=*/true);
   // The mainline of any read is linear, so a failure here is a real
   // InvalidArgument/Internal error, not a heuristic miss — propagate it
   // instead of masking it behind the bounded search.
   if (!mainline_report.ok()) return mainline_report;
-  const Pattern& full_read = store.pattern(read);
   std::optional<Tree> candidate =
       TryMainlineWitness(full_read, *mainline_report, ops);
   if (candidate.has_value()) {

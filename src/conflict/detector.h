@@ -65,8 +65,9 @@ std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
 /// is an interned pattern and `update` must be bound to the same `store`
 /// (the ref factories, UpdateOp::Bind or Engine::Bind); Engine::Detect
 /// binds on the caller's behalf. Detection runs on the store's
-/// pre-minimized patterns and compiled forms (PatternStore::compiled),
-/// matched by the §4.1 dynamic program (MatchCompiled). A staged
+/// pre-minimized patterns: the linear stages match mainlines by the §4.1
+/// dynamic program (MatchDp) — a linear stored pattern is its own
+/// mainline, a branching one's is extracted per call. A staged
 /// verdict pipeline where each stage either returns a final report or
 /// hands the pair down:
 ///   - Stage 0 (only with options.dtd set): the schema-type disjointness

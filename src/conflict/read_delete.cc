@@ -1,11 +1,12 @@
 #include "conflict/read_delete.h"
 
 #include <string>
+#include <utility>
 
 #include "conflict/update_op.h"
 #include "conflict/witness_build.h"
+#include "match/dp_matcher.h"
 #include "pattern/pattern_ops.h"
-#include "pattern/pattern_writer.h"
 
 namespace xmlup {
 namespace {
@@ -38,20 +39,8 @@ Result<Tree> BuildNodeConflictWitness(const Pattern& read,
       GraftModel(&witness, u, suffix, suffix.root(), filler);
     }
   }
-  GraftBranchModelsEverywhere(&witness, delete_pattern);
-  if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
-    return witness;
-  }
-  // A node-conflict witness need not witness a *value* conflict on the
-  // same tree (the paper's Figure 3); the Lemma 2 construction uniquifies
-  // the result subtrees with children carrying a label no input uses.
-  const Label unique = UnusedLabel("uniq", read, delete_pattern, nullptr);
-  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
-  if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
-    return witness;
-  }
-  return Status::Internal(
-      "constructed read-delete witness failed verification");
+  return FinishLinearWitness(std::move(witness), read, delete_pattern,
+                             /*content=*/nullptr, semantics);
 }
 
 /// Builds a witness for the "deletion strictly below a read result" case
@@ -63,20 +52,8 @@ Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
   Tree witness = MatchWordToPath(
       word, read.symbols(),
       UnusedLabel("wfill", read, delete_pattern, nullptr));
-  GraftBranchModelsEverywhere(&witness, delete_pattern);
-  if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
-    return witness;
-  }
-  // Lemma 2 fallback for value semantics: uniquify the subtrees along the
-  // trunk with children carrying a label no input uses, so that a modified
-  // result subtree cannot be isomorphic to an unmodified one.
-  const Label unique = UnusedLabel("uniq", read, delete_pattern, nullptr);
-  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
-  if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
-    return witness;
-  }
-  return Status::Internal(
-      "constructed read-delete subtree witness failed verification");
+  return FinishLinearWitness(std::move(witness), read, delete_pattern,
+                             /*content=*/nullptr, semantics);
 }
 
 }  // namespace
@@ -143,40 +120,32 @@ Result<ConflictReport> DetectLinearReadDeleteConflict(
   return report;
 }
 
-Result<ConflictReport> DetectReadDeleteConflictCompiled(
-    const CompiledPattern& read, const CompiledPattern& del,
+Result<ConflictReport> DetectMainlineReadDeleteConflict(
+    const Pattern& read_mainline, const Pattern& delete_mainline,
     const Pattern& delete_pattern, ConflictSemantics semantics,
     bool build_witness) {
   XMLUP_RETURN_NOT_OK(ValidateDeletePattern(delete_pattern));
-
-  // The compiled read *is* the mainline chain; for a linear read this is
-  // the read itself (linear patterns are mainline fixpoints), so running
-  // on it is the Lemma 3 edge scan verbatim. chain index k has prefix
-  // SEQ_ROOT^chain[k] precompiled — the exact operand the value path
-  // extracts per edge.
-  const Pattern& r = read.mainline_pattern();
+  const Pattern& r = read_mainline;
 
   ConflictReport report;
   report.verdict = ConflictVerdict::kNoConflict;
   report.method = DetectorMethod::kLinearPtime;
 
-  const size_t length = read.chain_length();
-  for (size_t k = 1; k < length; ++k) {
-    const PatternNodeId n_prime = read.mainline_node(k);
-    MatchResult match;
-    if (r.axis(n_prime) == Axis::kDescendant) {
-      // Weak match against SEQ_ROOT^n (the parent's prefix).
-      match = MatchCompiled(del, read, k - 1, /*weak=*/true);
-    } else {
-      // Strong match against SEQ_ROOT^n'.
-      match = MatchCompiled(del, read, k, /*weak=*/false);
-    }
+  // Lemma 3 along the chain: the edge (n, n') with k nodes of r above n'.
+  // The DP reads the prefix SEQ_ROOT^n (k nodes) or SEQ_ROOT^n' (k + 1)
+  // straight from r.
+  size_t k = 1;
+  for (PatternNodeId n_prime = r.first_child(r.root());
+       n_prime != kNullPatternNode; n_prime = r.first_child(n_prime), ++k) {
+    const bool descendant = r.axis(n_prime) == Axis::kDescendant;
+    const MatchResult match =
+        descendant ? MatchDp(delete_mainline, r, /*weak=*/true, k)
+                   : MatchDp(delete_mainline, r, /*weak=*/false, k + 1);
     if (!match.matches) continue;
     report.verdict = ConflictVerdict::kConflict;
-    report.detail =
-        std::string("node conflict via ") +
-        (r.axis(n_prime) == Axis::kDescendant ? "descendant" : "child") +
-        " edge into read node " + r.LabelName(n_prime);
+    report.detail = std::string("node conflict via ") +
+                    (descendant ? "descendant" : "child") +
+                    " edge into read node " + r.LabelName(n_prime);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
           Tree witness,
@@ -189,7 +158,7 @@ Result<ConflictReport> DetectReadDeleteConflictCompiled(
 
   if (semantics == ConflictSemantics::kNode) return report;
 
-  MatchResult below = MatchCompiled(del, read, length - 1, /*weak=*/true);
+  MatchResult below = MatchDp(delete_mainline, r, /*weak=*/true);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (D weakly matches R)";

@@ -1,66 +1,30 @@
 #include "conflict/read_insert.h"
 
 #include <string>
+#include <utility>
 
 #include "conflict/witness_build.h"
 #include "eval/evaluator.h"
+#include "match/dp_matcher.h"
 #include "pattern/pattern_ops.h"
 
 namespace xmlup {
 namespace {
 
-Result<Tree> BuildCutEdgeWitness(const Pattern& read,
-                                 const Pattern& insert_pattern,
-                                 const Tree& inserted, const ClassWord& word,
-                                 ConflictSemantics semantics) {
-  // The word is the path from the root to the insertion point u; after the
-  // insertion the read continues inside the grafted copy of X, so the path
-  // alone is the witness (Lemma 6 "(If)").
+/// The read-insert witness from a match word, the path from the root to
+/// the insertion point u. For a cut edge the read continues inside the
+/// grafted copy of X after the insertion, so the path alone is the witness
+/// (Lemma 6 "(If)"); for the subtree-modification case u lies at or below
+/// a read result, whose subtree the insertion changes.
+Result<Tree> BuildPathWitness(const Pattern& read,
+                              const Pattern& insert_pattern,
+                              const Tree& inserted, const ClassWord& word,
+                              ConflictSemantics semantics) {
   Tree witness = MatchWordToPath(
       word, read.symbols(),
       UnusedLabel("wfill", read, insert_pattern, &inserted));
-  GraftBranchModelsEverywhere(&witness, insert_pattern);
-  if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
-                          semantics)) {
-    return witness;
-  }
-  // Lemma 2: a node-conflict witness is upgraded to a value-conflict
-  // witness by giving every original node a child whose label no input
-  // uses (the new result inside X then has no isomorphic partner).
-  const Label unique = UnusedLabel("uniq", read, insert_pattern, &inserted);
-  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
-  if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
-                          semantics)) {
-    return witness;
-  }
-  return Status::Internal(
-      "constructed read-insert witness failed verification");
-}
-
-Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
-                                             const Pattern& insert_pattern,
-                                             const Tree& inserted,
-                                             const ClassWord& word,
-                                             ConflictSemantics semantics) {
-  Tree witness = MatchWordToPath(
-      word, read.symbols(),
-      UnusedLabel("wfill", read, insert_pattern, &inserted));
-  GraftBranchModelsEverywhere(&witness, insert_pattern);
-  if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
-                          semantics)) {
-    return witness;
-  }
-  // Lemma 2 fallback: uniquify subtrees with children carrying a label no
-  // input uses, so a modified result cannot be value-equal to an
-  // unmodified one.
-  const Label unique = UnusedLabel("uniq", read, insert_pattern, &inserted);
-  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
-  if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
-                          semantics)) {
-    return witness;
-  }
-  return Status::Internal(
-      "constructed read-insert subtree witness failed verification");
+  return FinishLinearWitness(std::move(witness), read, insert_pattern,
+                             &inserted, semantics);
 }
 
 }  // namespace
@@ -110,8 +74,8 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
         ") into read node " + read.LabelName(n_prime);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
-          Tree witness, BuildCutEdgeWitness(read, insert_pattern, inserted,
-                                            match.witness_word, semantics));
+          Tree witness, BuildPathWitness(read, insert_pattern, inserted,
+                                         match.witness_word, semantics));
       report.witness = std::move(witness);
     }
     return report;
@@ -128,60 +92,49 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
           Tree witness,
-          BuildSubtreeModificationWitness(read, insert_pattern, inserted,
-                                          below.witness_word, semantics));
+          BuildPathWitness(read, insert_pattern, inserted,
+                           below.witness_word, semantics));
       report.witness = std::move(witness);
     }
   }
   return report;
 }
 
-Result<ConflictReport> DetectReadInsertConflictCompiled(
-    const CompiledPattern& read, const CompiledPattern& ins,
+Result<ConflictReport> DetectMainlineReadInsertConflict(
+    const Pattern& read_mainline, const Pattern& insert_mainline,
     const Pattern& insert_pattern, const Tree& inserted,
     ConflictSemantics semantics, bool build_witness) {
   if (!inserted.has_root()) {
     return Status::InvalidArgument("inserted tree X is empty");
   }
-
-  // The compiled read *is* the mainline chain; for a linear read this is
-  // the read itself. Chain index k carries both the prefix SEQ_ROOT^n
-  // (k-1) and the suffix SEQ_{n'}^O (k) the Lemma 5-7 cut-edge test needs,
-  // precompiled.
-  const Pattern& r = read.mainline_pattern();
+  const Pattern& r = read_mainline;
 
   ConflictReport report;
   report.verdict = ConflictVerdict::kNoConflict;
   report.method = DetectorMethod::kLinearPtime;
 
-  const size_t length = read.chain_length();
-  for (size_t k = 1; k < length; ++k) {
-    const PatternNodeId n_prime = read.mainline_node(k);
-    MatchResult match;
-    bool suffix_ok = false;
-    if (r.axis(n_prime) == Axis::kChild) {
-      match = MatchCompiled(ins, read, k - 1, /*weak=*/false);
-      if (match.matches) {
-        suffix_ok =
-            EmbedsAt(read.suffix_pattern(k), inserted, inserted.root());
-      }
-    } else {
-      match = MatchCompiled(ins, read, k - 1, /*weak=*/true);
-      if (match.matches) {
-        suffix_ok = EmbedsAnywhereIn(read.suffix_pattern(k), inserted,
-                                     inserted.root());
-      }
-    }
-    if (!match.matches || !suffix_ok) continue;
+  // Lemmas 5-7 along the chain: the edge (n, n') with k nodes of r above
+  // n'. The DP reads the prefix SEQ_ROOT^n (k nodes) straight from r, and
+  // the suffix SEQ_{n'}^O is r's sub-pattern at n', read from bit n' of
+  // the evaluator's rows.
+  size_t k = 1;
+  for (PatternNodeId n_prime = r.first_child(r.root());
+       n_prime != kNullPatternNode; n_prime = r.first_child(n_prime), ++k) {
+    const bool descendant = r.axis(n_prime) == Axis::kDescendant;
+    const MatchResult match = MatchDp(insert_mainline, r, descendant, k);
+    if (!match.matches) continue;
+    const bool suffix_ok =
+        descendant ? EmbedsAnywhereIn(r, inserted, inserted.root(), n_prime)
+                   : EmbedsAt(r, inserted, inserted.root(), n_prime);
+    if (!suffix_ok) continue;
     report.verdict = ConflictVerdict::kConflict;
-    report.detail =
-        std::string("cut edge (") +
-        (r.axis(n_prime) == Axis::kDescendant ? "descendant" : "child") +
-        ") into read node " + r.LabelName(n_prime);
+    report.detail = std::string("cut edge (") +
+                    (descendant ? "descendant" : "child") +
+                    ") into read node " + r.LabelName(n_prime);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
-          Tree witness, BuildCutEdgeWitness(r, insert_pattern, inserted,
-                                            match.witness_word, semantics));
+          Tree witness, BuildPathWitness(r, insert_pattern, inserted,
+                                         match.witness_word, semantics));
       report.witness = std::move(witness);
     }
     return report;
@@ -189,15 +142,14 @@ Result<ConflictReport> DetectReadInsertConflictCompiled(
 
   if (semantics == ConflictSemantics::kNode) return report;
 
-  MatchResult below = MatchCompiled(ins, read, length - 1, /*weak=*/true);
+  MatchResult below = MatchDp(insert_mainline, r, /*weak=*/true);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (I weakly matches R)";
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
-          Tree witness,
-          BuildSubtreeModificationWitness(r, insert_pattern, inserted,
-                                          below.witness_word, semantics));
+          Tree witness, BuildPathWitness(r, insert_pattern, inserted,
+                                         below.witness_word, semantics));
       report.witness = std::move(witness);
     }
   }

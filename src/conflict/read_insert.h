@@ -5,7 +5,6 @@
 #include "conflict/report.h"
 #include "conflict/witness_check.h"
 #include "match/matching.h"
-#include "pattern/compiled_pattern.h"
 #include "pattern/pattern.h"
 #include "xml/tree.h"
 
@@ -32,25 +31,25 @@ namespace xmlup {
 /// verdict (the linear algorithms are complete — never kUnknown). This
 /// value overload matches with the paper's construction (MatchStrongly /
 /// MatchWeakly: per-call regexes and Thompson NFAs) and is the reference
-/// the compiled core below is tested against.
+/// the mainline core below is tested against.
 Result<ConflictReport> DetectLinearReadInsertConflict(
     const Pattern& read, const Pattern& insert_pattern, const Tree& inserted,
     ConflictSemantics semantics = ConflictSemantics::kNode,
     bool build_witness = true);
 
-/// Compiled-form core, the detection hot path: the same algorithm and
-/// reports as the value overload, running the §4.1 dynamic program
-/// (MatchCompiled) on the precompiled prefix/suffix patterns instead of
-/// the paper's per-call automata and ExtractSeq copies. `read` is scanned
-/// along its mainline chain — for a linear read that is the read itself;
-/// the detector's branching heuristic passes a branching read's compiled
-/// form to get the Mainline(read) answer. `insert_pattern` is the full
-/// stored insert (the witness construction grafts its branch models);
-/// `ins` must be its compiled form. Verdict, method and detail are
-/// identical to the value overload on the same operands; witness words
-/// may differ, and every witness is re-verified.
-Result<ConflictReport> DetectReadInsertConflictCompiled(
-    const CompiledPattern& read, const CompiledPattern& ins,
+/// Mainline core, the detection hot path: the same algorithm and reports
+/// as the value overload, running the §4.1 dynamic program (MatchDp) on
+/// prefixes of `read_mainline` and the evaluator on its suffixes, both
+/// read in place, instead of the paper's per-call automata on ExtractSeq
+/// copies. `read_mainline` and `insert_mainline` must be linear: a linear
+/// read is its own mainline, and the detector's branching heuristic passes
+/// Mainline(read) to get that answer. `insert_pattern` is the full insert
+/// (the witness construction grafts its branch models) and
+/// `insert_mainline` its Mainline (Corollary 2). Verdict, method and
+/// detail are identical to the value overload on the same operands;
+/// witness words may differ, and every witness is re-verified.
+Result<ConflictReport> DetectMainlineReadInsertConflict(
+    const Pattern& read_mainline, const Pattern& insert_mainline,
     const Pattern& insert_pattern, const Tree& inserted,
     ConflictSemantics semantics = ConflictSemantics::kNode,
     bool build_witness = true);

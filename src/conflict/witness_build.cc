@@ -1,6 +1,7 @@
 #include "conflict/witness_build.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "pattern/pattern_ops.h"
@@ -64,6 +65,25 @@ void GraftBranchModelsEverywhere(Tree* tree, const Pattern& update) {
       GraftModel(tree, n, update, c, filler);
     }
   }
+}
+
+Result<Tree> FinishLinearWitness(Tree witness, const Pattern& read,
+                                 const Pattern& update, const Tree* content,
+                                 ConflictSemantics semantics) {
+  auto verified = [&] {
+    return content != nullptr
+               ? IsReadInsertWitness(read, update, *content, witness,
+                                     semantics)
+               : IsReadDeleteWitness(read, update, witness, semantics);
+  };
+  GraftBranchModelsEverywhere(&witness, update);
+  if (verified()) return witness;
+  const Label unique = UnusedLabel("uniq", read, update, content);
+  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
+  if (verified()) return witness;
+  return Status::Internal(std::string("constructed read-") +
+                          (content != nullptr ? "insert" : "delete") +
+                          " witness failed verification");
 }
 
 }  // namespace xmlup

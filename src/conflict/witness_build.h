@@ -3,6 +3,8 @@
 
 #include <string_view>
 
+#include "common/result.h"
+#include "conflict/witness_check.h"
 #include "match/matching.h"
 #include "pattern/pattern.h"
 #include "xml/tree.h"
@@ -36,6 +38,19 @@ Tree MatchWordToPath(const ClassWord& word,
 /// pattern. Wildcards in the models are filled with the table's reserved
 /// `bfill$` label, or a fresh one when `update` or `tree` uses it.
 void GraftBranchModelsEverywhere(Tree* tree, const Pattern& update);
+
+/// The common end of the linear witness constructions: grafts `update`'s
+/// branch models onto `witness` (Lemmas 4 and 8) and checks the tree with
+/// the Lemma 1 checker under `semantics`. A node-conflict witness need not
+/// witness a value conflict on the same tree (the paper's Figure 3), so on
+/// failure the Lemma 2 upgrade gives every node a child whose label no
+/// input uses (a changed result then has no isomorphic partner) and checks
+/// again; that label is drawn only then. `content` is the inserted tree X
+/// of an insert, null for a delete. A tree failing both checks is a
+/// library bug, reported as Internal.
+Result<Tree> FinishLinearWitness(Tree witness, const Pattern& read,
+                                 const Pattern& update, const Tree* content,
+                                 ConflictSemantics semantics);
 
 }  // namespace xmlup
 

@@ -11,12 +11,11 @@ namespace xmlup {
 namespace {
 
 /// Captures everything about R(t) needed by all three semantics, applies
-/// `mutate`, then compares. NodeIds are stable across mutation, so
-/// reference-based comparison is direct id comparison.
+/// `mutate` to `t` in place, then compares. NodeIds are stable across
+/// mutation, so reference-based comparison is direct id comparison.
 template <typename MutateFn>
-bool CheckWitness(const Pattern& read, const Tree& original,
-                  ConflictSemantics semantics, MutateFn mutate) {
-  Tree t = CopyTree(original);
+bool CheckWitness(const Pattern& read, Tree& t, ConflictSemantics semantics,
+                  MutateFn mutate) {
   const std::vector<NodeId> before = Evaluate(read, t);
 
   std::vector<SubtreeSnapshot> snapshots;
@@ -67,6 +66,13 @@ std::string_view ConflictSemanticsName(ConflictSemantics semantics) {
 bool IsReadInsertWitness(const Pattern& read, const Pattern& insert_pattern,
                          const Tree& inserted, const Tree& t,
                          ConflictSemantics semantics) {
+  return IsReadInsertWitness(read, insert_pattern, inserted, CopyTree(t),
+                             semantics);
+}
+
+bool IsReadInsertWitness(const Pattern& read, const Pattern& insert_pattern,
+                         const Tree& inserted, Tree&& t,
+                         ConflictSemantics semantics) {
   return CheckWitness(read, t, semantics, [&](Tree* tree) {
     const std::vector<NodeId> points = Evaluate(insert_pattern, *tree);
     for (NodeId point : points) {
@@ -77,6 +83,11 @@ bool IsReadInsertWitness(const Pattern& read, const Pattern& insert_pattern,
 
 bool IsReadDeleteWitness(const Pattern& read, const Pattern& delete_pattern,
                          const Tree& t, ConflictSemantics semantics) {
+  return IsReadDeleteWitness(read, delete_pattern, CopyTree(t), semantics);
+}
+
+bool IsReadDeleteWitness(const Pattern& read, const Pattern& delete_pattern,
+                         Tree&& t, ConflictSemantics semantics) {
   XMLUP_CHECK(delete_pattern.output() != delete_pattern.root());
   return CheckWitness(read, t, semantics, [&](Tree* tree) {
     for (NodeId point : Evaluate(delete_pattern, *tree)) {

@@ -25,18 +25,25 @@ enum class ConflictSemantics {
 std::string_view ConflictSemanticsName(ConflictSemantics semantics);
 
 /// Lemma 1: deciding whether a *given* tree t witnesses a conflict is
-/// polynomial for all three semantics. These checkers never mutate the
-/// caller's tree (they work on a copy).
+/// polynomial for all three semantics. The `const Tree&` checkers never
+/// mutate the caller's tree (they work on a copy); the `Tree&&` ones check
+/// the tree in place and leave it in an unspecified state, for callers
+/// that built it only to check it (the bounded searches).
 ///
 /// Read-insert: true iff R(I(t)) differs from R(t) under `semantics`.
 bool IsReadInsertWitness(const Pattern& read, const Pattern& insert_pattern,
                          const Tree& inserted, const Tree& t,
+                         ConflictSemantics semantics);
+bool IsReadInsertWitness(const Pattern& read, const Pattern& insert_pattern,
+                         const Tree& inserted, Tree&& t,
                          ConflictSemantics semantics);
 
 /// Read-delete: true iff R(D(t)) differs from R(t) under `semantics`.
 /// `delete_pattern` must have O(p) != ROOT(p).
 bool IsReadDeleteWitness(const Pattern& read, const Pattern& delete_pattern,
                          const Tree& t, ConflictSemantics semantics);
+bool IsReadDeleteWitness(const Pattern& read, const Pattern& delete_pattern,
+                         Tree&& t, ConflictSemantics semantics);
 
 }  // namespace xmlup
 

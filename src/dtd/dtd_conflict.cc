@@ -1,6 +1,7 @@
 #include "dtd/dtd_conflict.h"
 
 #include <set>
+#include <utility>
 
 namespace xmlup {
 namespace {
@@ -11,7 +12,7 @@ BruteForceResult SearchConforming(
     const Pattern& read, const Pattern& update, const Tree* inserted,
     const Dtd& dtd, const BoundedSearchOptions& options,
     std::span<const Pattern* const> must_embed,
-    const std::function<bool(const Tree&)>& is_witness) {
+    const std::function<bool(Tree&&)>& is_witness) {
   std::set<Label> labels = dtd.MentionedLabels();
   labels.merge(LabelsOf({&read, &update}));
   std::set<Label> inputs = labels;
@@ -19,8 +20,8 @@ BruteForceResult SearchConforming(
   return SearchShapes(
       read.symbols(),
       SearchAlphabet(*read.symbols(), labels, inputs, options.extra_labels),
-      options, must_embed, [&](const Tree& candidate) {
-        return dtd.Conforms(candidate) && is_witness(candidate);
+      options, must_embed, [&](Tree&& candidate) {
+        return dtd.Conforms(candidate) && is_witness(std::move(candidate));
       });
 }
 
@@ -32,10 +33,10 @@ BruteForceResult FindReadInsertConflictUnderDtd(
     const BoundedSearchOptions& options) {
   const Pattern* must_embed[] = {&insert_pattern};
   return SearchConforming(read, insert_pattern, &inserted, dtd, options,
-                          must_embed, [&](const Tree& candidate) {
-                            return IsReadInsertWitness(read, insert_pattern,
-                                                       inserted, candidate,
-                                                       semantics);
+                          must_embed, [&](Tree&& candidate) {
+                            return IsReadInsertWitness(
+                                read, insert_pattern, inserted,
+                                std::move(candidate), semantics);
                           });
 }
 
@@ -44,9 +45,10 @@ BruteForceResult FindReadDeleteConflictUnderDtd(
     ConflictSemantics semantics, const BoundedSearchOptions& options) {
   const Pattern* must_embed[] = {&delete_pattern, &read};
   return SearchConforming(read, delete_pattern, nullptr, dtd, options,
-                          must_embed, [&](const Tree& candidate) {
+                          must_embed, [&](Tree&& candidate) {
                             return IsReadDeleteWitness(read, delete_pattern,
-                                                       candidate, semantics);
+                                                       std::move(candidate),
+                                                       semantics);
                           });
 }
 

@@ -131,7 +131,7 @@ LintResult Engine::Lint(const Program& program, const LintRunOptions& run) {
   lint_options.partition = run.partition;
   CheckNotOnPoolWorker("Lint");
   // A fresh Linter per call: its memo cache is cold, but the shared store
-  // keeps interned and compiled patterns warm — the distinct-pair
+  // keeps interned, minimized patterns warm — the distinct-pair
   // solves, the expensive part, are amortized process-wide. The Linter owns
   // its matrix engine and pool and touches only the thread-safe store, so
   // concurrent Lint calls run in parallel rather than on batch_mu_.

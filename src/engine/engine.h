@@ -24,7 +24,7 @@ namespace xmlup {
 
 /// Configuration of an Engine. One engine = one configuration: the
 /// detector options are fixed at construction because every cache in the
-/// stack below (the batch memo cache, the compiled-pattern store) assumes
+/// stack below (the batch memo cache, the pattern store) assumes
 /// the verdict of a pattern pair is a function of the pair alone. Callers that need a second semantics build a second
 /// Engine (they can share a SymbolTable).
 struct EngineOptions {
@@ -46,7 +46,7 @@ struct EngineOptions {
 
 /// The front door of the library: one object owning the shared state every
 /// layer below needs — the SymbolTable, the PatternStore (interned
-/// canonical patterns + compiled forms), the batch conflict-matrix
+/// canonical patterns and their type summaries), the batch conflict-matrix
 /// engine and its memo cache — and exposing the library's operations as
 /// methods: Detect, DetectMatrix, MakeSession, Lint, AnalyzeDependences,
 /// CertifyCommute.
@@ -63,7 +63,7 @@ struct EngineOptions {
 /// out in DESIGN "Concurrency model"):
 ///   - Detect / CertifyCommute / Intern / Bind / InternXPath are safe to
 ///     call from any number of threads concurrently (they ride the store's
-///     internal locks and the lock-free compiled caches). This is the
+///     internal locks and its lock-free entry reads). This is the
 ///     driver's hot path; it never touches batch_mu_.
 ///   - DetectMatrix / DetectPairs / AnalyzeDependences serialize on
 ///     batch_mu_ (one matrix engine, one memo cache); each call still
@@ -83,7 +83,7 @@ struct EngineOptions {
 ///   - A Session is single-writer (as MaintainedConflictMatrix is), but
 ///     distinct sessions may be driven from distinct threads concurrently:
 ///     each session owns a private inline matrix engine over the shared
-///     store, so sessions share interned and compiled patterns without
+///     store, so sessions share interned patterns without
 ///     sharing a mutable memo cache.
 class Engine {
  public:
@@ -121,7 +121,7 @@ class Engine {
   /// --- Single-pair detection (thread-safe hot path) ---
 
   /// Read/update conflict detection under the engine's options, on the
-  /// store's compiled patterns. An op bound to this engine (Bind) is used
+  /// store's interned patterns. An op bound to this engine (Bind) is used
   /// as is; any other op is bound first, which costs one Intern per call.
   /// The Pattern overload also interns the read.
   Result<ConflictReport> Detect(PatternRef read, const UpdateOp& update) const;
@@ -198,7 +198,7 @@ class Engine {
 
   /// Lints a straight-line update program with the engine's detector
   /// configuration. Thread-safe and not serialized: concurrent calls share
-  /// only the store, which keeps compiled patterns warm across calls.
+  /// only the store, which keeps interned patterns warm across calls.
   LintResult Lint(const Program& program, const LintRunOptions& run);
   LintResult Lint(const Program& program) {
     return Lint(program, LintRunOptions());

@@ -128,6 +128,14 @@ uint64_t SatMul(uint64_t a, uint64_t b) {
   return a > UINT64_MAX / b ? UINT64_MAX : a * b;
 }
 
+/// Bit `from` (pattern node `from` is bit `from`) of the sat row (any =
+/// false) or the any row (any = true) of tree node n.
+bool RowBit(const SatKernel& kernel, const uint64_t* rows, NodeId n, bool any,
+            PatternNodeId from) {
+  const uint64_t* row = rows + (n * 2 + (any ? 1 : 0)) * kernel.words();
+  return ((row[from / 64] >> (from % 64)) & 1) != 0;
+}
+
 }  // namespace
 
 uint64_t CountEmbeddings(const Pattern& p, const Tree& t) {
@@ -182,21 +190,24 @@ bool HasEmbedding(const Pattern& p, const Tree& t) {
   return EmbedsAt(p, t, t.root());
 }
 
-bool EmbedsAt(const Pattern& p, const Tree& t, NodeId at) {
+bool EmbedsAt(const Pattern& p, const Tree& t, NodeId at, PatternNodeId from) {
   XMLUP_DCHECK(t.alive(at));
+  XMLUP_DCHECK(from < p.size());
   return RunKernel(p, t, at,
                    [&](const SatKernel& kernel, auto, uint64_t* rows,
                        uint64_t*) {
-                     return (rows[at * 2 * kernel.words()] & 1) != 0;
+                     return RowBit(kernel, rows, at, /*any=*/false, from);
                    });
 }
 
-bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope) {
+bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope,
+                      PatternNodeId from) {
   XMLUP_DCHECK(t.alive(scope));
+  XMLUP_DCHECK(from < p.size());
   return RunKernel(p, t, scope,
                    [&](const SatKernel& kernel, auto, uint64_t* rows,
                        uint64_t*) {
-                     return (rows[(scope * 2 + 1) * kernel.words()] & 1) != 0;
+                     return RowBit(kernel, rows, scope, /*any=*/true, from);
                    });
 }
 

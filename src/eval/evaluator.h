@@ -22,15 +22,19 @@ std::vector<NodeId> Evaluate(const Pattern& p, const Tree& t);
 /// True iff [[p]](t) is non-empty, i.e. some embedding of p into t exists.
 bool HasEmbedding(const Pattern& p, const Tree& t);
 
-/// True iff there is an embedding of `p` into the subtree of `t` rooted at
-/// `at` that maps ROOT(p) to `at` (anchored, not root-preserving w.r.t. t).
-/// Used for "there is an embedding from SEQ into X" (Lemma 6) and by the
-/// containment checker.
-bool EmbedsAt(const Pattern& p, const Tree& t, NodeId at);
+/// True iff there is an embedding of the sub-pattern of `p` rooted at
+/// `from` (default: ROOT(p), node 0) into the subtree of `t` rooted at `at`
+/// that maps `from` to `at` (anchored, not root-preserving w.r.t. t) —
+/// EmbedsAt(SubpatternAt(p, from), t, at) without the copy. Used for
+/// "there is an embedding from SEQ into X" (Lemma 6, where SEQ is a suffix
+/// of the read's mainline) and by the containment checker.
+bool EmbedsAt(const Pattern& p, const Tree& t, NodeId at,
+              PatternNodeId from = 0);
 
-/// True iff EmbedsAt(p, t, n) holds for some node n in the subtree rooted
-/// at `scope` ("an embedding into X or some subtree of X", Lemma 6).
-bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope);
+/// True iff EmbedsAt(p, t, n, from) holds for some node n in the subtree
+/// rooted at `scope` ("an embedding into X or some subtree of X", Lemma 6).
+bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope,
+                      PatternNodeId from = 0);
 
 /// Number of distinct embeddings of `p` into `t` (root-preserving), in
 /// O(|p|·|t|) by dynamic programming — the polynomial counterpart of

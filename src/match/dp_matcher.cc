@@ -7,14 +7,15 @@
 namespace xmlup {
 namespace {
 
-/// Flattened view of a linear pattern: per-node symbol classes and the
-/// axis of the edge *into* each node (index 0 = root, no incoming edge).
+/// Flattened view of the first `limit` nodes of a linear pattern: per-node
+/// symbol classes and the axis of the edge *into* each node (index 0 =
+/// root, no incoming edge).
 struct Flat {
   std::vector<LabelClass> classes;
   std::vector<Axis> axes;
 
-  explicit Flat(const Pattern& l) {
-    for (PatternNodeId n = l.root(); n != kNullPatternNode;
+  Flat(const Pattern& l, size_t limit) {
+    for (PatternNodeId n = l.root(); n != kNullPatternNode && size() < limit;
          n = l.first_child(n)) {
       classes.push_back(l.is_wildcard(n) ? LabelClass::Any()
                                          : LabelClass::Of(l.label(n)));
@@ -47,11 +48,13 @@ struct DpScratch {
 
 }  // namespace
 
-MatchResult MatchDp(const Pattern& l1, const Pattern& l2, bool weak) {
+MatchResult MatchDp(const Pattern& l1, const Pattern& l2, bool weak,
+                    size_t l2_prefix) {
   XMLUP_CHECK(l1.IsLinear());
   XMLUP_CHECK(l2.IsLinear());
-  const Flat f1(l1);
-  const Flat f2(l2);
+  XMLUP_CHECK(l2_prefix >= 1);
+  const Flat f1(l1, SIZE_MAX);
+  const Flat f2(l2, l2_prefix);
   const size_t m1 = f1.size();
   const size_t m2 = f2.size();
 

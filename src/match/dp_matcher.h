@@ -1,6 +1,9 @@
 #ifndef XMLUP_MATCH_DP_MATCHER_H_
 #define XMLUP_MATCH_DP_MATCHER_H_
 
+#include <cstddef>
+#include <cstdint>
+
 #include "match/matching.h"
 #include "pattern/pattern.h"
 
@@ -14,7 +17,12 @@ namespace xmlup {
 /// O(|l1|·|l2|) states; avoids building Thompson NFAs.
 ///
 /// `weak` allows l1's output to lie strictly below l2's output.
-MatchResult MatchDp(const Pattern& l1, const Pattern& l2, bool weak);
+///
+/// `l2_prefix` reads only the first that many nodes of l2's chain, i.e.
+/// matches against SEQ_ROOT^n of l2 for its l2_prefix-th node n without
+/// extracting that prefix; the default reads the whole chain.
+MatchResult MatchDp(const Pattern& l1, const Pattern& l2, bool weak,
+                    size_t l2_prefix = SIZE_MAX);
 
 }  // namespace xmlup
 

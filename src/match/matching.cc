@@ -2,7 +2,6 @@
 
 #include "automata/nfa_ops.h"
 #include "automata/regex.h"
-#include "match/dp_matcher.h"
 #include "xml/tree_algos.h"
 
 namespace xmlup {
@@ -52,11 +51,6 @@ MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2) {
   XMLUP_CHECK(l1.IsLinear());
   XMLUP_CHECK(l2.IsLinear());
   return MatchViaNfa(l1, l2, /*weak=*/true);
-}
-
-MatchResult MatchCompiled(const CompiledPattern& l1, const CompiledPattern& l2,
-                          size_t l2_prefix, bool weak) {
-  return MatchDp(l1.mainline_pattern(), l2.prefix_pattern(l2_prefix), weak);
 }
 
 Tree WordToPathTree(const ClassWord& word,

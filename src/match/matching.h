@@ -2,7 +2,6 @@
 #define XMLUP_MATCH_MATCHING_H_
 
 #include "match/label_class.h"
-#include "pattern/compiled_pattern.h"
 #include "pattern/pattern.h"
 #include "xml/tree.h"
 
@@ -34,19 +33,10 @@ Regex LinearPatternToRegex(const Pattern& linear);
 ///
 /// These run the paper's construction (regular expressions, Thompson
 /// NFAs, product emptiness; automata/) and are the reference the
-/// detection hot path (MatchCompiled, the §4.1 dynamic program) is tested
+/// detection hot path (MatchDp, the §4.1 dynamic program) is tested
 /// against.
 MatchResult MatchStrongly(const Pattern& l1, const Pattern& l2);
 MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2);
-
-/// Compiled-form matching, the detection hot path: `l1` contributes its
-/// mainline, `l2` the prefix at chain index `l2_prefix`, and the §4.1
-/// dynamic program (MatchDp) decides the strong match — or the weak one
-/// when `weak` is set (the asymmetry of Definition 7: l1's output is the
-/// deeper one). With l2_prefix == l2.chain_length() - 1 this decides
-/// exactly MatchStrongly/MatchWeakly(l1.mainline, l2.mainline).
-MatchResult MatchCompiled(const CompiledPattern& l1, const CompiledPattern& l2,
-                          size_t l2_prefix, bool weak);
 
 /// Materializes a witness word as a path tree, resolving Any classes to
 /// `filler`. The word must be non-empty.

@@ -9,10 +9,9 @@
 // the one place the pattern module reaches upward, so every layer above gets
 // pre-minimized forms for free.
 #include "conflict/minimize.h"
-// Type summaries (the Stage 0 footprints) are cached per entry the same way
-// compiled patterns are; like the minimizer include above, this is the
-// pattern module reaching upward so every consumer of the store shares one
-// summary per (pattern, schema).
+// Type summaries (the Stage 0 footprints) are cached per entry; like the
+// minimizer include above, this is the pattern module reaching upward so
+// every consumer of the store shares one summary per (pattern, schema).
 #include "dtd/type_summary.h"
 #include "obs/metrics.h"
 #include "pattern/pattern_ops.h"
@@ -41,30 +40,8 @@ struct StoreMetrics {
   }
 };
 
-/// Compiled-form cache observability, aggregated across stores like
-/// StoreMetrics. misses counts entries compiled (at most one per ref —
-/// the once-per-entry latch); hits counts requests served by an already
-/// compiled entry. Invariant: misses <= distinct refs ever compiled.
-struct NfaMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& bytes;
-
-  static const NfaMetrics& Get() {
-    static const NfaMetrics* const metrics = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-      return new NfaMetrics{
-          reg.GetCounter("store.nfa.hits"),
-          reg.GetCounter("store.nfa.misses"),
-          reg.GetCounter("store.nfa.bytes"),
-      };
-    }();
-    return *metrics;
-  }
-};
-
 /// Type-summary cache observability (the Stage 0 footprints), aggregated
-/// across stores like NfaMetrics. misses counts summaries built (at most
+/// across stores like StoreMetrics. misses counts summaries built (at most
 /// one per (entry, dtd)); hits counts requests served by a retained
 /// summary.
 struct TypesMetrics {
@@ -94,7 +71,9 @@ uint64_t EntryBytes(const Pattern& stored, const std::string& code) {
 
 }  // namespace
 
-/// Latch + lazily-built type summary, CompiledSlot's sibling. The entry
+/// Latch + lazily-built type summary. Held behind a unique_ptr so Entry
+/// stays movable (std::once_flag is not) and so call_once's non-const
+/// access works through the const Entry& that entry() hands out. The entry
 /// latches the first Dtd it is asked about (the one-engine-one-schema
 /// steady state); other Dtds go to the store-level secondary map.
 struct PatternStore::TypesSlot {
@@ -214,7 +193,6 @@ PatternRef PatternStore::Intern(const Pattern& p) {
     const bool is_linear = stored.IsLinear();
     metrics.bytes.Increment(EntryBytes(stored, stored_code));
     entries_.Append(Entry{std::move(stored), stored_code, is_linear,
-                          std::make_unique<CompiledSlot>(),
                           std::make_unique<TypesSlot>()});
     by_code_.emplace(std::move(stored_code), id);
   }
@@ -242,24 +220,6 @@ bool PatternStore::linear(PatternRef ref) const {
   return entry(ref).is_linear;
 }
 
-const CompiledPattern& PatternStore::compiled(PatternRef ref) const {
-  // entry() bounds-checks under the store mutex and returns a deque slot
-  // that never moves; compilation itself runs outside that mutex, so
-  // distinct entries compile in parallel and an expensive build never
-  // blocks Intern.
-  const Entry& e = entry(ref);
-  CompiledSlot& slot = *e.compiled_slot;
-  const NfaMetrics& metrics = NfaMetrics::Get();
-  bool built = false;
-  std::call_once(slot.once, [&] {
-    slot.value = std::make_unique<const CompiledPattern>(e.stored);
-    metrics.bytes.Increment(slot.value->bytes());
-    built = true;
-  });
-  (built ? metrics.misses : metrics.hits).Increment();
-  return *slot.value;
-}
-
 const TypeSummary& PatternStore::type_summary(PatternRef ref,
                                               const Dtd& dtd) const {
   const Entry& e = entry(ref);
@@ -269,7 +229,7 @@ const TypeSummary& PatternStore::type_summary(PatternRef ref,
   std::call_once(slot.once, [&] {
     // Latch the first schema this entry is summarized under; construction
     // runs outside the store mutex, so distinct entries summarize in
-    // parallel (same discipline as compiled()).
+    // parallel and an expensive build never blocks Intern.
     slot.dtd = &dtd;
     slot.value =
         std::make_unique<const TypeSummary>(ComputeTypeSummary(e.stored, dtd));

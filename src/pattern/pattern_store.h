@@ -14,7 +14,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "pattern/compiled_pattern.h"
 #include "pattern/pattern.h"
 
 namespace xmlup {
@@ -93,7 +92,7 @@ struct PatternStoreOptions {
 /// resolves to one entry. References returned by pattern() /
 /// canonical_code() stay valid for the store's lifetime (entries live in
 /// chunked, address-stable storage and are never erased). Resolving a ref
-/// — pattern(), linear(), compiled(), type_summary(), size() — never takes
+/// — pattern(), linear(), type_summary(), size() — never takes
 /// the store mutex: entries are published with release/acquire ordering,
 /// so the per-pair detection hot path stays lock-free.
 ///
@@ -130,26 +129,12 @@ class PatternStore {
   /// dispatch bit, precomputed at intern time).
   bool linear(PatternRef ref) const;
 
-  /// The compiled form of the stored pattern (mainline chain, prefix and
-  /// suffix patterns — see pattern/compiled_pattern.h), built
-  /// lazily on first request and retained for the store's lifetime. The
-  /// reference stays valid for the store's lifetime.
-  ///
-  /// Thread-safe: a once-per-entry latch guarantees exactly one build per
-  /// entry even under concurrent callers; construction runs outside the
-  /// store mutex so distinct entries compile in parallel. Reports
-  /// `store.nfa.hits` (compiled form already present), `store.nfa.misses`
-  /// (== entries compiled, at most one per ref) and `store.nfa.bytes`
-  /// (retained compiled-form estimate) into
-  /// obs::MetricsRegistry::Default(). The `nfa` in the names predates the
-  /// dynamic-programming matcher; they count compiled forms.
-  const CompiledPattern& compiled(PatternRef ref) const;
-
   /// The schema-type summary of the stored pattern under `dtd` (the Stage 0
   /// footprints — see dtd/type_summary.h), built lazily on first request
-  /// and retained for the store's lifetime, with the same once-per-entry
-  /// latch discipline as compiled(): the first (entry, dtd) build runs
-  /// outside the store mutex, so distinct entries summarize in parallel.
+  /// and retained for the store's lifetime behind a once-per-entry latch:
+  /// exactly one build per entry even under concurrent callers, and the
+  /// first (entry, dtd) build runs outside the store mutex, so distinct
+  /// entries summarize in parallel.
   /// Reports `store.types.hits` / `store.types.misses` (== summaries built)
   /// / `store.types.bytes` into obs::MetricsRegistry::Default().
   ///
@@ -181,14 +166,6 @@ class PatternStore {
   static PatternStore& Default();
 
  private:
-  /// Latch + lazily-built compiled form. Held behind a unique_ptr so Entry
-  /// stays movable (std::once_flag is not) and so call_once's non-const
-  /// access works through the const Entry& that entry() hands out.
-  struct CompiledSlot {
-    std::once_flag once;
-    std::unique_ptr<const CompiledPattern> value;
-  };
-
   /// Latch + lazily-built type summary for the first Dtd this entry saw
   /// (defined in the .cc — TypeSummary is incomplete here to keep the
   /// pattern layer's headers from including the dtd layer's).
@@ -198,7 +175,6 @@ class PatternStore {
     Pattern stored;
     std::string code;
     bool is_linear = false;
-    std::unique_ptr<CompiledSlot> compiled_slot;
     std::unique_ptr<TypesSlot> types_slot;
   };
 
@@ -208,8 +184,8 @@ class PatternStore {
   /// mutex) placement-construct the next entry and release-publish the new
   /// count; readers acquire-load the count and reach any published entry
   /// with pure arithmetic — this keeps entry resolution off the mutex on
-  /// the per-pair detection hot path (Stage 0 summary probes, compiled-
-  /// form fetches).
+  /// the per-pair detection hot path (Stage 0 summary probes, stored
+  /// pattern fetches).
   class EntryTable {
    public:
     /// Power of two; chunk c holds (kFirstChunkSize << c) entries, so 26

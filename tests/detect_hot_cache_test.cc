@@ -1,15 +1,15 @@
-// The compiled hot path must be invisible except for speed: the Detect
-// pipeline (compiled patterns from PatternStore::compiled, matched by the
-// §4.1 dynamic program) is checked against the reference of
+// The hot path must be invisible except for speed: the Detect pipeline
+// (the stored patterns' mainlines, matched by the §4.1 dynamic program)
+// is checked against the reference of
 // detect_oracle.h — the value linear detectors (the paper's automata)
 // field by field on linear reads, the Lemma 1 checker and a direct
 // bounded search on branching reads — over an exhaustive small-pattern
 // sweep and randomized programs, and must be deterministic under 8-way
 // concurrency on one shared store. Also covers the detector accounting
 // invariant (calls == conflict + no_conflict + unknown + errors,
-// including unbound and foreign-store updates), the store.nfa.* counter
-// contract, and the centralized root-delete guard on every entry point
-// (factories, value and compiled detectors, batch engine).
+// including unbound and foreign-store updates) and the centralized
+// root-delete guard on every entry point (factories, value and mainline
+// detectors, batch engine).
 
 #include <cstdint>
 #include <memory>
@@ -24,7 +24,6 @@
 #include "conflict/read_insert.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
-#include "pattern/compiled_pattern.h"
 #include "pattern/pattern_store.h"
 #include "pattern/pattern_writer.h"
 #include "tests/detect_oracle.h"
@@ -188,8 +187,8 @@ TEST(DetectHotCacheTest, ConcurrentSharedStoreDeterminism) {
 
   for (const size_t num_threads : {size_t{1}, size_t{8}}) {
     // A fresh store per thread count, shared by all its threads: every
-    // thread races the compiled() latches on the same refs, and the 8-thread leg compiles every entry under
-    // contention rather than reusing the 1-thread run's.
+    // thread resolves the same refs, and the 8-thread leg interns every
+    // entry under contention rather than reusing the 1-thread run's.
     auto store = std::make_shared<PatternStore>(symbols);
     const std::vector<UpdateOp> bound = BoundUpdates(store, symbols);
     std::vector<PatternRef> refs;
@@ -220,44 +219,6 @@ TEST(DetectHotCacheTest, ConcurrentSharedStoreDeterminism) {
           << num_threads << " threads, thread " << t;
     }
   }
-}
-
-TEST(DetectHotCacheTest, StoreNfaCountersCountOneBuildPerEntry) {
-  auto symbols = NewSymbols();
-  PatternStore store(symbols);
-  std::vector<PatternRef> refs;
-  for (const char* spec : {"a//b", "a/b/c", "x//*/y", "a", "q[r]//s"}) {
-    refs.push_back(store.Intern(Xp(spec, symbols)));
-  }
-
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const uint64_t hits_before = reg.GetCounter("store.nfa.hits").value();
-  const uint64_t misses_before = reg.GetCounter("store.nfa.misses").value();
-  const uint64_t bytes_before = reg.GetCounter("store.nfa.bytes").value();
-
-  constexpr size_t kThreads = 8;
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (const PatternRef ref : refs) {
-        const CompiledPattern& c = store.compiled(ref);
-        EXPECT_GE(c.chain_length(), 1u);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  // The once-per-entry latch admits exactly one build per ref, no matter
-  // how many threads raced; every other request is a hit.
-  EXPECT_EQ(reg.GetCounter("store.nfa.misses").value() - misses_before,
-            refs.size());
-  EXPECT_EQ(reg.GetCounter("store.nfa.hits").value() - hits_before,
-            (kThreads - 1) * refs.size());
-  EXPECT_GT(reg.GetCounter("store.nfa.bytes").value(), bytes_before);
-
-  // Compiled forms are stable (same object on re-request).
-  const CompiledPattern& again = store.compiled(refs[0]);
-  EXPECT_EQ(&again, &store.compiled(refs[0]));
 }
 
 TEST(DetectHotCacheTest, DetectorAccountingInvariantIncludesErrors) {
@@ -342,20 +303,18 @@ TEST(DetectHotCacheTest, RootDeleteGuardIsCentralized) {
   ASSERT_FALSE(by_value.ok());
   EXPECT_EQ(by_value.status().code(), StatusCode::kInvalidArgument);
 
-  // The compiled core (what the batch engine's rewired SolvePair runs).
-  const CompiledPattern read_compiled(read);
-  const CompiledPattern del_compiled(root_only);
-  Result<ConflictReport> compiled_core = DetectReadDeleteConflictCompiled(
-      read_compiled, del_compiled, root_only);
-  ASSERT_FALSE(compiled_core.ok());
-  EXPECT_EQ(compiled_core.status().code(), StatusCode::kInvalidArgument);
+  // The mainline core (what Detect runs for the batch engine's SolvePair).
+  Result<ConflictReport> mainline_core =
+      DetectMainlineReadDeleteConflict(read, root_only, root_only);
+  ASSERT_FALSE(mainline_core.ok());
+  EXPECT_EQ(mainline_core.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DetectHotCacheTest, BatchEngineMatchesSinglePairDetect) {
   auto symbols = NewSymbols();
-  // The batch engine routes SolvePair through the Detect pipeline and the
-  // compiled caches; cell by cell its reports must equal a single-pair
-  // Detect on the canonicalized pair, itself checked against the oracle.
+  // The batch engine routes SolvePair through the Detect pipeline; cell
+  // by cell its reports must equal a single-pair Detect on the
+  // canonicalized pair, itself checked against the oracle.
   BatchDetectorOptions batch_options;
   batch_options.num_threads = 4;
   BatchConflictDetector engine(batch_options);

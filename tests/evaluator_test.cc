@@ -6,6 +6,7 @@
 #include "common/random.h"
 #include "eval/embedding_enumerator.h"
 #include "gtest/gtest.h"
+#include "pattern/pattern_ops.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
 #include "workload/tree_generator.h"
@@ -169,6 +170,23 @@ void ExpectAnchoredChecksMatchEnumeration(const Pattern& p, const Tree& t) {
   }
 }
 
+/// EmbedsAt and EmbedsAnywhereIn read from pattern node q, at every node
+/// of `t`, against the same calls on the copy SubpatternAt(p, q). Returns
+/// how many anchored checks held, so callers can see both outcomes occur.
+size_t ExpectFromNodeMatchesSubpattern(const Pattern& p, PatternNodeId q,
+                                       const Tree& t) {
+  const Pattern sub = SubpatternAt(p, q);
+  size_t held = 0;
+  for (NodeId n : t.PreOrder()) {
+    const bool at = EmbedsAt(p, t, n, q);
+    EXPECT_EQ(at, EmbedsAt(sub, t, n)) << "q " << q << " node " << n;
+    EXPECT_EQ(EmbedsAnywhereIn(p, t, n, q), EmbedsAnywhereIn(sub, t, n))
+        << "q " << q << " node " << n;
+    held += at ? 1 : 0;
+  }
+  return held;
+}
+
 /// Property sweep: the polynomial evaluator agrees with explicit embedding
 /// enumeration on random (tree, pattern) pairs.
 class EvaluatorPropertyTest : public ::testing::TestWithParam<int> {};
@@ -187,6 +205,8 @@ TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
   pat_options.alphabet = tree_options.alphabet;
   RandomPatternGenerator patterns(symbols, pat_options);
 
+  size_t from_held = 0;
+  size_t from_checks = 0;
   for (int iter = 0; iter < 20; ++iter) {
     const Tree t = trees.Generate(&rng);
     const Pattern p = rng.NextBool(0.5) ? patterns.GenerateLinear(&rng)
@@ -208,7 +228,13 @@ TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
     EXPECT_EQ(CountEmbeddings(p, t), embeddings.size())
         << "seed=" << GetParam() << " iter=" << iter;
     ExpectAnchoredChecksMatchEnumeration(p, t);
+    for (PatternNodeId q = 0; q < p.size(); ++q) {
+      from_held += ExpectFromNodeMatchesSubpattern(p, q, t);
+      from_checks += t.size();
+    }
   }
+  EXPECT_GT(from_held, 0u);
+  EXPECT_LT(from_held, from_checks);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EvaluatorPropertyTest,
@@ -252,6 +278,7 @@ TEST(EvaluatorMultiWordTest, PatternsOver64NodesMatchEnumeration) {
       RandomTreeGenerator::MakeAlphabet(symbols.get(), 60);
   RandomTreeGenerator trees(symbols, tree_options);
   size_t embedded = 0;
+  size_t from_held = 0;
   for (int iter = 0; iter < 24; ++iter) {
     const Tree t = trees.Generate(&rng);
     const size_t size = std::min<size_t>(65 + rng.NextBounded(66), t.size());
@@ -268,7 +295,15 @@ TEST(EvaluatorMultiWordTest, PatternsOver64NodesMatchEnumeration) {
         << "iter=" << iter;
     embedded += embeddings.empty() ? 0 : 1;
     ExpectAnchoredChecksMatchEnumeration(p, t);
+    // Reading from a node: every ninth one, and nodes on both sides of
+    // the first word boundary and the last node, in word >= 1.
+    for (PatternNodeId q = 0; q < p.size(); ++q) {
+      if (q % 9 == 0 || q == 63 || q == 64 || q + 1 == p.size()) {
+        from_held += ExpectFromNodeMatchesSubpattern(p, q, t);
+      }
+    }
   }
+  EXPECT_GT(from_held, 0u);
   // Both outcomes occur, so neither side of the comparison is vacuous.
   EXPECT_GT(embedded, 0u);
   EXPECT_LT(embedded, 24u);

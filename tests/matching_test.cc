@@ -7,7 +7,6 @@
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "match/dp_matcher.h"
-#include "pattern/compiled_pattern.h"
 #include "pattern/pattern_ops.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
@@ -206,11 +205,11 @@ TEST_P(MatchingPropertyTest, NfaDpAndBruteForceAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MatchingPropertyTest, ::testing::Range(0, 10));
 
-/// The detection hot path (MatchCompiled: the dynamic program on compiled
-/// prefixes) against the paper's construction (the NFA value matchers) on
-/// exactly the operands the linear detectors ask about: Mainline(l1)
-/// against every prefix SEQ_ROOT^chain[k] of l2, strong and weak.
-TEST(MatchCompiledTest, PrefixSweepAgreesWithNfaReference) {
+/// The detection hot path (MatchDp reading a prefix of l2 in place)
+/// against the paper's construction (the NFA value matchers) on exactly
+/// the operands the linear detectors ask about: Mainline(l1) against every
+/// prefix SEQ_ROOT^chain[k-1] of l2 (its first k nodes), strong and weak.
+TEST(MatchDpPrefixTest, PrefixSweepAgreesWithNfaReference) {
   auto symbols = NewSymbols();
   Rng rng(20261018);
   PatternGenOptions options;
@@ -225,18 +224,25 @@ TEST(MatchCompiledTest, PrefixSweepAgreesWithNfaReference) {
     const Pattern l1 =
         iter % 4 == 3 ? gen.GenerateBranching(&rng) : gen.GenerateLinear(&rng);
     const Pattern l2 = gen.GenerateLinear(&rng);
-    const CompiledPattern c1(l1);
-    const CompiledPattern c2(l2);
     const Pattern mainline = Mainline(l1);
-    for (size_t k = 0; k < c2.chain_length(); ++k) {
-      const Pattern& prefix = c2.prefix_pattern(k);
+    std::vector<PatternNodeId> chain;
+    for (PatternNodeId n = l2.root(); n != kNullPatternNode;
+         n = l2.first_child(n)) {
+      chain.push_back(n);
+    }
+    for (size_t k = 1; k <= chain.size(); ++k) {
+      const Pattern prefix = ExtractSeq(l2, l2.root(), chain[k - 1]);
       for (bool weak : {false, true}) {
         const MatchResult want = weak ? MatchWeakly(mainline, prefix)
                                       : MatchStrongly(mainline, prefix);
-        const MatchResult got = MatchCompiled(c1, c2, k, weak);
+        const MatchResult got = MatchDp(mainline, l2, weak, k);
         ++checks;
         ASSERT_EQ(got.matches, want.matches)
             << "iter " << iter << " k " << k << (weak ? " weak" : " strong");
+        if (k == chain.size()) {
+          EXPECT_EQ(MatchDp(mainline, l2, weak).matches, got.matches)
+              << "iter " << iter << " whole chain";
+        }
         if (!got.matches) continue;
         ++matches;
         ExpectWitnessValid(got.witness_word, mainline, prefix, weak, symbols);

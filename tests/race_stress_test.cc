@@ -197,9 +197,6 @@ TEST_F(RaceStressTest, MixedWorkloadKeepsVerdictsAndAccountingCoherent) {
                 Delta(diff, "detector.verdict.no_conflict") +
                 Delta(diff, "detector.verdict.unknown") +
                 Delta(diff, "detector.errors"));
-  // Every compiled-form build is counted at most once per interned entry
-  // (the once-latch), no matter how many threads raced it.
-  EXPECT_LE(Delta(diff, "store.nfa.misses"), engine_.store()->size());
 
   // Store stability: the storm interned everything; re-interning the full
   // set from the main thread must add nothing.

@@ -122,16 +122,15 @@ TEST_F(ReadDeleteTest, DpMatcherGivesSameAnswers) {
       {"a/b", "a/b"},     {"a/b", "a/c"},   {"a//b", "a//c"},
       {"a/b", "a/b/c"},   {"a/*", "a/c"},   {"a/b", "a/c/b"},
   };
-  // The value detector runs the paper's automata; the compiled core runs
+  // The value detector runs the paper's automata; the mainline core runs
   // the dynamic program.
   for (const auto& c : cases) {
     const Pattern read = Xp(c[0], symbols_);
     const Pattern del = Xp(c[1], symbols_);
     Result<ConflictReport> nfa =
         DetectLinearReadDeleteConflict(read, del, ConflictSemantics::kNode);
-    Result<ConflictReport> dp = DetectReadDeleteConflictCompiled(
-        CompiledPattern(read), CompiledPattern(del), del,
-        ConflictSemantics::kNode);
+    Result<ConflictReport> dp = DetectMainlineReadDeleteConflict(
+        read, del, del, ConflictSemantics::kNode);
     ASSERT_TRUE(nfa.ok());
     ASSERT_TRUE(dp.ok());
     EXPECT_EQ(nfa->conflict(), dp->conflict()) << c[0] << " vs " << c[1];

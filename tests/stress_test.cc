@@ -99,10 +99,10 @@ TEST(StressTest, DetectionWithLargePatterns) {
     n = del.AddChild(n, symbols->Intern("s"), Axis::kDescendant);
   }
   del.SetOutput(n);
-  // The compiled core: the dynamic-programming matcher the detector runs.
-  Result<ConflictReport> report = DetectReadDeleteConflictCompiled(
-      CompiledPattern(read), CompiledPattern(del), del,
-      ConflictSemantics::kNode);
+  // The mainline core: the dynamic-programming matcher the detector runs
+  // (both patterns are linear, so each is its own mainline).
+  Result<ConflictReport> report = DetectMainlineReadDeleteConflict(
+      read, del, del, ConflictSemantics::kNode);
   ASSERT_TRUE(report.ok()) << report.status();
   if (report->conflict()) {
     ASSERT_TRUE(report->witness.has_value());

@@ -1,5 +1,7 @@
 #include "conflict/witness_build.h"
 
+#include <utility>
+
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "pattern/pattern_ops.h"
@@ -86,6 +88,44 @@ TEST_F(WitnessBuildTest, DeepBranchSubtreesCopiedWhole) {
   EXPECT_TRUE(HasEmbedding(full, path));
   // Each original node gained one branch model of 3 nodes (x, y, z).
   EXPECT_EQ(path.size(), 2u + 2u * 3u);
+}
+
+TEST_F(WitnessBuildTest, FinishDrawsTheUniqLabelOnlyOnFallback) {
+  // The delete a[uniq$]/b uses the reserved Lemma 2 label, so drawing it
+  // would mint a fresh symbol. The path a/b already witnesses the node
+  // conflict once the branch model is grafted, so nothing is drawn.
+  const Pattern read = Xp("a/b", symbols_);
+  Pattern del(symbols_);
+  const PatternNodeId root = del.CreateRoot(symbols_->Intern("a"));
+  del.AddChild(root, symbols_->Reserved("uniq"), Axis::kChild);
+  del.SetOutput(del.AddChild(root, symbols_->Intern("b"), Axis::kChild));
+  Tree path(symbols_);
+  path.AddChild(path.CreateRoot(symbols_->Intern("a")),
+                symbols_->Intern("b"));
+  symbols_->Reserved("bfill");  // the branch models' filler, interned once
+  const size_t before = symbols_->size();
+  Result<Tree> witness = FinishLinearWitness(
+      std::move(path), read, del, /*content=*/nullptr,
+      ConflictSemantics::kNode);
+  ASSERT_TRUE(witness.ok()) << witness.status();
+  EXPECT_TRUE(IsReadDeleteWitness(read, del, *witness,
+                                  ConflictSemantics::kNode));
+  EXPECT_EQ(symbols_->size(), before);
+}
+
+TEST_F(WitnessBuildTest, FinishReportsATreeThatNeverWitnesses) {
+  // a/c deletes nothing a/b selects: no upgrade helps, which the linear
+  // detectors would only hit through a library bug.
+  const Pattern read = Xp("a/b", symbols_);
+  const Pattern del = Xp("a/c", symbols_);
+  Tree path(symbols_);
+  path.AddChild(path.CreateRoot(symbols_->Intern("a")),
+                symbols_->Intern("b"));
+  Result<Tree> witness = FinishLinearWitness(
+      std::move(path), read, del, /*content=*/nullptr,
+      ConflictSemantics::kValue);
+  ASSERT_FALSE(witness.ok());
+  EXPECT_EQ(witness.status().code(), StatusCode::kInternal);
 }
 
 }  // namespace
